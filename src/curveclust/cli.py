@@ -87,15 +87,19 @@ def _dump_json(payload) -> str:
     return json.dumps(_jsonify(payload), indent=2) + "\n"
 
 
-def read_curvefile(path: str) -> CurveSet:
-    """Load a curve family from JSON, validating shape and dimension."""
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_curvefile(path: str) -> CurveSet:
+    """Load a curve family from JSON, validating shape and dimension."""
+    raw = _load_json(path)
     try:
         dim = int(raw["dimension"])
         entries = raw["curves"]
@@ -148,13 +152,7 @@ def coresetfile_payload(coreset: WeightedCoreset, dimension: int) -> dict:
 
 
 def read_coresetfile(path: str):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from None
+    raw = _load_json(path)
     try:
         members = [
             Curve(e["vertices"], label=e.get("label")) for e in raw["members"]
@@ -268,24 +266,32 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+_CORESET_VARIANTS = {
+    "center-segments": lambda cs, eps, a: center_coreset_segments(
+        cs, eps, a.k, a.rel_tol
+    ),
+    "center-curves": lambda cs, eps, a: center_coreset_curves(
+        cs, eps, a.k, a.l, a.rel_tol
+    ),
+    "median": lambda cs, eps, a: median_coreset(
+        cs, eps, a.k, a.rho, a.seed, a.rel_tol
+    ),
+}
+
+
+def _build_coreset(cs: CurveSet, eps: float, args):
+    try:
+        return _CORESET_VARIANTS[args.variant](cs, eps, args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def cmd_coreset(args) -> int:
     """Build a coreset of the requested variant and write it to a file."""
     cs = read_curvefile(args.input)
-    try:
-        if args.variant == "center-segments":
-            result = center_coreset_segments(cs, args.epsilon, args.k, args.rel_tol)
-        elif args.variant == "center-curves":
-            result = center_coreset_curves(
-                cs, args.epsilon, args.k, args.l, args.rel_tol
-            )
-        else:
-            if args.seed is None:
-                raise CliError("the median variant draws samples and needs --seed")
-            result = median_coreset(
-                cs, args.epsilon, args.k, args.rho, args.seed, args.rel_tol
-            )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    if args.variant == "median" and args.seed is None:
+        raise CliError("the median variant draws samples and needs --seed")
+    result = _build_coreset(cs, args.epsilon, args)
     if isinstance(result, CoresetFailure):
         payload = {
             "declined": True,
@@ -367,15 +373,7 @@ def cmd_bench(args) -> int:
                 args.complexity, args.dimension,
             )
             t0 = time.perf_counter()
-            try:
-                if args.variant == "center-segments":
-                    core = center_coreset_segments(cs, eps, args.k, args.rel_tol)
-                elif args.variant == "center-curves":
-                    core = center_coreset_curves(cs, eps, args.k, args.l, args.rel_tol)
-                else:
-                    core = median_coreset(cs, eps, args.k, args.rho, args.seed, args.rel_tol)
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
+            core = _build_coreset(cs, eps, args)
             elapsed = time.perf_counter() - t0
             if isinstance(core, CoresetFailure):
                 rows.append(
@@ -455,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coreset", help="build a coreset from a curve file")
     p.add_argument("--input", required=True)
-    p.add_argument("--variant", required=True,
-                   choices=["center-segments", "center-curves", "median"])
+    p.add_argument("--variant", required=True, choices=list(_CORESET_VARIANTS))
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, default=2,
@@ -484,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time constructions over an instance ladder")
-    p.add_argument("--variant", required=True,
-                   choices=["center-segments", "center-curves", "median"])
+    p.add_argument("--variant", required=True, choices=list(_CORESET_VARIANTS))
     p.add_argument("--sizes", default="50,100",
                    help="comma-separated input sizes")
     p.add_argument("--epsilons", default="0.25,0.5",

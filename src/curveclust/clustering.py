@@ -74,107 +74,146 @@ class Clustering:
     meta: dict = field(default_factory=dict)
 
 
-def _argmin_results(results, refine=None):
-    """Index of the smallest value; near-ties re-solve before index order wins.
-
-    ``results`` is a mutable list of FrechetResult. ``refine(i, tol)``
-    recomputes entry i at tolerance ``tol``; the list is updated in
-    place so callers see the tightened brackets.
-    """
-    n = len(results)
-    tol = max(r.tolerance for r in results)
-    while True:
-        best = min(range(n), key=lambda i: (results[i].value, i))
-        if refine is None or tol <= _TIE_FLOOR:
-            return best
-        rivals = [
-            i
-            for i in range(n)
-            if i != best and results[i].lower < results[best].upper
-        ]
-        if not rivals:
-            return best
-        tol = max(tol / 10.0, _TIE_FLOOR)
-        for i in rivals + [best]:
-            results[i] = refine(i, tol)
-
-
-def _argmax_results(results, refine=None):
-    """Index of the largest value, refining overlaps like _argmin_results."""
-    n = len(results)
-    tol = max(r.tolerance for r in results)
-    while True:
-        best = max(range(n), key=lambda i: (results[i].value, -i))
-        if refine is None or tol <= _TIE_FLOOR:
-            return best
-        rivals = [
-            i
-            for i in range(n)
-            if i != best and results[i].upper > results[best].lower
-        ]
-        if not rivals:
-            return best
-        tol = max(tol / 10.0, _TIE_FLOOR)
-        for i in rivals + [best]:
-            results[i] = refine(i, tol)
-
-
 class PairwiseFrechet:
-    """Lazily computed symmetric distance table with per-entry tightening.
+    """Lazily solved distance table over curve positions.
 
-    Entries are computed on first access at the table's base tolerance
-    and can be re-solved tighter later. ``values`` materializes the
-    full midpoint matrix; the returned array is the table's own buffer
-    and reflects subsequent tightening.
+    Positions 0..n-1 are the input curves; ``add`` appends a further
+    curve (a summarized center, a candidate, a coreset member that
+    differs from its input) and returns its position. An entry is
+    solved on first access at the table's base tolerance, always as
+    (lower position, higher position), so each unordered pair is
+    solved once; the diagonal is 0 without a solve, and ``tighten``
+    re-solves an entry in place. Solved entries live in per-column
+    arrays of value, lower, upper and tolerance, four floats per row
+    rather than one object per pair. ``values`` materializes the
+    input-by-input midpoint matrix; the returned array is the table's
+    own buffer and reflects subsequent tightening.
     """
 
     def __init__(self, curves, rel_tol: float = DEFAULT_REL_TOL):
         self.curves = list(curves)
+        self.n = len(self.curves)
         self.rel_tol = rel_tol
-        self._res: dict[tuple[int, int], FrechetResult] = {}
+        self._cols: dict[int, np.ndarray] = {}
         self._matrix = None
 
     def __len__(self):
         return len(self.curves)
 
-    def result(self, i: int, j: int) -> FrechetResult:
-        if i == j:
-            return FrechetResult(0.0, 0.0, 0.0, self.rel_tol)
-        key = (i, j) if i < j else (j, i)
-        r = self._res.get(key)
-        if r is None:
-            r = frechet_distance(self.curves[key[0]], self.curves[key[1]], self.rel_tol)
-            self._store(key, r)
+    def add(self, curve) -> int:
+        """Append a curve and return its position."""
+        self.curves.append(curve)
+        return len(self.curves) - 1
+
+    def _column(self, j: int, rows: int) -> np.ndarray:
+        # column j stacks value, lower, upper and tolerance (NaN while
+        # unsolved) for at least ``rows`` table rows and every input row
+        col = self._cols.get(j)
+        old = 0 if col is None else col.shape[1]
+        if col is not None and rows <= old:
+            return col
+        size = max(rows, self.n)
+        new = np.full((4, size), np.nan)
+        if col is not None:
+            new[:, :old] = col
+        # entries already solved from the other end of the pair
+        for i, other in self._cols.items():
+            if old <= i < size and j < other.shape[1]:
+                new[:, i] = other[:, j]
+        if old <= j < size:
+            new[:, j] = 0.0
+        self._cols[j] = new
+        return new
+
+    def _solve(self, i: int, j: int, tol: float) -> FrechetResult:
+        a, b = (i, j) if i < j else (j, i)
+        r = frechet_distance(self.curves[a], self.curves[b], tol)
+        entry = (r.value, r.lower, r.upper, r.tolerance)
+        self._cols[j][:, i] = entry
+        if i in self._cols:
+            self._column(i, j + 1)[:, j] = entry
+        if self._matrix is not None and b < self.n:
+            self._matrix[a, b] = self._matrix[b, a] = r.value
         return r
+
+    def tighten(self, i: int, j: int, tol: float) -> FrechetResult:
+        """Entry (i, j), re-solved at ``tol`` unless already at least as tight."""
+        col = self._column(j, i + 1)
+        if np.isnan(col[0, i]) or col[3, i] > tol:
+            return self._solve(i, j, tol)
+        return FrechetResult(*col[:, i].tolist())
+
+    def result(self, i: int, j: int) -> FrechetResult:
+        return self.tighten(i, j, self.rel_tol)
 
     def value(self, i: int, j: int) -> float:
         return self.result(i, j).value
 
-    def tighten(self, i: int, j: int, tol: float) -> FrechetResult:
-        if i == j:
-            return FrechetResult(0.0, 0.0, 0.0, tol)
-        key = (i, j) if i < j else (j, i)
-        r = self._res.get(key)
-        if r is None or r.tolerance > tol:
-            r = frechet_distance(self.curves[key[0]], self.curves[key[1]], tol)
-            self._store(key, r)
-        return r
-
-    def _store(self, key, r):
-        self._res[key] = r
-        if self._matrix is not None:
-            self._matrix[key[0], key[1]] = r.value
-            self._matrix[key[1], key[0]] = r.value
+    def column(self, j: int, rows) -> np.ndarray:
+        """Distances from ``rows`` to position ``j``, solving missing ones in row order."""
+        rows = np.asarray(rows, dtype=int)
+        col = self._column(j, rows.max(initial=-1) + 1)
+        for i in rows[np.isnan(col[0, rows])]:
+            self._solve(int(i), j, self.rel_tol)
+        return col[0, rows]
 
     def values(self) -> np.ndarray:
         if self._matrix is None:
-            n = len(self.curves)
-            m = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m[i, j] = m[j, i] = self.result(i, j).value
-            self._matrix = m
+            n = self.n
+            self._matrix = np.zeros((n, n))
+            for j in range(n):
+                self._matrix[:, j] = self.column(j, range(n))
         return self._matrix
+
+    def nearest(self, i: int, cols):
+        """Index into ``cols`` of the position nearest to row ``i``, and its entry."""
+        res = [self.result(i, j) for j in cols]
+        tol = max(r.tolerance for r in res)
+        while True:
+            best = min(range(len(res)), key=lambda p: (res[p].value, p))
+            rivals = [
+                p for p, r in enumerate(res) if p != best and r.lower < res[best].upper
+            ]
+            if not rivals or tol <= _TIE_FLOOR:
+                return best, res[best]
+            tol = max(tol / 10.0, _TIE_FLOOR)
+            for p in rivals + [best]:
+                res[p] = self.tighten(i, cols[p], tol)
+
+    def farthest(self, cols):
+        """The input farthest from its nearest column in ``cols``.
+
+        Returns it with ``nearest(i, cols)`` for every input i. Rows
+        whose brackets do not overlap take their nearest column straight
+        from the column arrays. A contender is refined by tightening its
+        whole row, then searching its nearest column again.
+        """
+        n = self.n
+        for j in cols:
+            self.column(j, range(n))
+        E = np.stack([self._cols[j][:, :n] for j in cols])
+        first = E[:, 0].argmin(axis=0)
+        B = E[first, :, np.arange(n)]
+        overlap = E[:, 1] < B[:, 2]
+        overlap[first, np.arange(n)] = False
+        near = [(c, FrechetResult(*e)) for c, e in zip(first.tolist(), B.tolist())]
+        for i in np.flatnonzero(overlap.any(axis=0)).tolist():
+            near[i] = self.nearest(i, cols)
+        tol = max(r.tolerance for _, r in near)
+        while True:
+            best = max(range(len(near)), key=lambda i: (near[i][1].value, -i))
+            rivals = [
+                i
+                for i, (_, r) in enumerate(near)
+                if i != best and r.upper > near[best][1].lower
+            ]
+            if not rivals or tol <= _TIE_FLOOR:
+                return best, near
+            tol = max(tol / 10.0, _TIE_FLOOR)
+            for i in rivals + [best]:
+                for j in cols:
+                    self.tighten(i, j, tol)
+                near[i] = self.nearest(i, cols)
 
 
 def nearest_center(curve, centers, rel_tol: float = DEFAULT_REL_TOL):
@@ -182,9 +221,9 @@ def nearest_center(curve, centers, rel_tol: float = DEFAULT_REL_TOL):
     centers = list(centers)
     if not centers:
         raise ValueError("no centers given")
-    res = [frechet_distance(curve, c, rel_tol) for c in centers]
-    i = _argmin_results(res, lambda j, tol: frechet_distance(curve, centers[j], tol))
-    return i, res[i].value
+    table = PairwiseFrechet([curve], rel_tol)
+    i, r = table.nearest(0, [table.add(c) for c in centers])
+    return i, r.value
 
 
 def cost(T, centers, kind: str, rel_tol: float = DEFAULT_REL_TOL) -> float:
@@ -199,64 +238,27 @@ def cost(T, centers, kind: str, rel_tol: float = DEFAULT_REL_TOL) -> float:
     return float(sum(v * v for v in vals))
 
 
-def _farthest_first(curves, k, rel_tol, summarize):
-    """Greedy max-distance selection; returns centers and bookkeeping.
+def _farthest_first(table, k, center_of):
+    """Greedy max-distance selection over the table's input rows.
 
-    ``summarize`` maps a chosen input curve to the stored center. The
-    first center always summarizes curve 0; each later round picks the
-    curve farthest from its nearest center.
+    ``center_of(i)`` returns the table position that stands for input
+    curve i as a center. The first center stands for curve 0; each
+    later round picks the curve farthest from its nearest center.
     """
-    n = len(curves)
-    centers = [summarize(curves[0])]
+    cols = [center_of(0)]
     picked = [0]
     radii = []
-    # rows[c][i] brackets the distance from curve i to center c
-    rows = [[frechet_distance(t, centers[0], rel_tol) for t in curves]]
-
-    def tighten_all(i, tol):
-        for c in range(len(centers)):
-            r = rows[c][i]
-            if r.tolerance > tol:
-                rows[c][i] = frechet_distance(curves[i], centers[c], tol)
-
-    def nearest_of(i):
-        col = [rows[c][i] for c in range(len(centers))]
-
-        def refine(c, tol):
-            r = rows[c][i]
-            if r.tolerance > tol:
-                rows[c][i] = frechet_distance(curves[i], centers[c], tol)
-            return rows[c][i]
-
-        c = _argmin_results(col, refine)
-        return c, rows[c][i]
-
     while True:
-        assignment = []
-        near = []
-        for i in range(n):
-            c, r = nearest_of(i)
-            assignment.append(c)
-            near.append(r)
-        if len(centers) == k:
+        far, near = table.farthest(cols)
+        if len(cols) == k:
             break
-
-        def refine_far(i, tol):
-            tighten_all(i, tol)
-            c, r = nearest_of(i)
-            assignment[i] = c
-            return r
-
-        far = _argmax_results(near, refine_far)
-        radii.append(near[far].value)
-        centers.append(summarize(curves[far]))
+        radii.append(near[far][1].value)
         picked.append(far)
-        rows.append([frechet_distance(t, centers[-1], rel_tol) for t in curves])
-
-    worst = _argmax_results(near, lambda i, tol: (tighten_all(i, tol), nearest_of(i)[1])[1])
-    radius = near[worst].value
-    upper = np.array([r.upper for r in near])
-    return centers, picked, radii, assignment, radius, upper
+        cols.append(center_of(far))
+    centers = [table.curves[j] for j in cols]
+    assignment = [c for c, _ in near]
+    upper = np.array([r.upper for _, r in near])
+    return centers, picked, radii, assignment, near[far][1].value, upper
 
 
 def kl_center_approx(T, k: int, l: int, rel_tol: float = DEFAULT_REL_TOL) -> Clustering:
@@ -272,8 +274,9 @@ def kl_center_approx(T, k: int, l: int, rel_tol: float = DEFAULT_REL_TOL) -> Clu
         raise ValueError("cannot cluster an empty family")
     if k < 1:
         raise ValueError("k must be at least 1")
+    table = PairwiseFrechet(curves, rel_tol)
     centers, picked, radii, assignment, radius, upper = _farthest_first(
-        curves, k, rel_tol, lambda c: simplify(c, l)
+        table, k, lambda i: table.add(simplify(curves[i], l))
     )
     meta = {
         "picked_indices": picked,
@@ -292,7 +295,7 @@ def k_center_approx(T, k: int, rel_tol: float = DEFAULT_REL_TOL) -> Clustering:
     if not 1 <= k <= len(curves):
         raise ValueError(f"k must be in 1..{len(curves)}, got {k}")
     centers, picked, radii, assignment, radius, upper = _farthest_first(
-        curves, k, rel_tol, lambda c: c
+        PairwiseFrechet(curves, rel_tol), k, lambda i: i
     )
     l = max(len(c) for c in curves)
     meta = {
@@ -329,8 +332,7 @@ def k_median_approx(
     table = PairwiseFrechet(curves, rel_tol)
     M = table.values()
 
-    seed = k_center_approx(curves, k, rel_tol)
-    chosen = seed.meta["center_indices"]
+    chosen = _farthest_first(table, k, lambda i: i)[1]
     C = sorted(chosen)
     seed_cost = float(M[:, C].min(axis=1).sum())
     margin = gamma * seed_cost
@@ -360,11 +362,7 @@ def k_median_approx(
         if not found:
             break
 
-    assignment = []
-    for i in range(n):
-        col = [table.result(i, c) for c in C]
-        pos = _argmin_results(col, lambda p, tol, i=i: table.tighten(i, C[p], tol))
-        assignment.append(pos)
+    assignment = [table.nearest(i, C)[0] for i in range(n)]
     final_cost = float(sum(M[i, C[a]] for i, a in enumerate(assignment)))
     l = max(len(c) for c in curves)
     meta = {

@@ -283,26 +283,14 @@ def sampling_distribution(
     to_center = M[np.arange(n), centers[assign]]
     total = float(to_center.sum())
     sizes = np.bincount(assign, minlength=len(centers))
-    if total <= 0.0:
-        probabilities = np.full(n, 1.0 / n)
-        return SamplingDistribution(
-            probabilities=probabilities,
-            sensitivities=np.ones(n),
-            normalizer=1.0,
-            cumulative=np.cumsum(probabilities),
-            cluster_of=assign,
-            cluster_sizes=sizes,
-            cluster_mean_cost=np.zeros(len(centers)),
-            cost_scale=0.0,
-            alpha=6.0,
-            gamma=0.25,
-            clustering=clust,
-            degenerate=True,
-        )
     sums = np.bincount(assign, weights=to_center, minlength=len(centers))
     means = sums / np.maximum(sizes, 1)
     scale = total / (6.0 * n)
-    sens = (2.0 * means[assign] + to_center) / (0.75 * scale) + 8.0 * n / sizes[assign]
+    degenerate = total <= 0.0
+    if degenerate:
+        sens = np.ones(n)
+    else:
+        sens = (2.0 * means[assign] + to_center) / (0.75 * scale) + 8.0 * n / sizes[assign]
     normalizer = float(sens.mean())
     probabilities = sens / (n * normalizer)
     return SamplingDistribution(
@@ -317,6 +305,7 @@ def sampling_distribution(
         alpha=6.0,
         gamma=0.25,
         clustering=clust,
+        degenerate=degenerate,
     )
 
 

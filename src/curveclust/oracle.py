@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import Curve, CurveSet
-from .frechet import DEFAULT_REL_TOL, _vertex_array, frechet_distance
+from .frechet import DEFAULT_REL_TOL, _vertex_array
 from .clustering import PairwiseFrechet, cost as clustering_cost
 from .geometry import centroid, euclidean
 
@@ -204,65 +204,47 @@ def coreset_sandwich_check(
     """Check that the coreset cost brackets the full cost for every candidate.
 
     Candidates are either tuples of input indices or sequences of
-    curves. For each one the full cost over ``T`` and the weighted
-    coreset cost are compared: the coreset passes when its cost lies
-    within (1 +- eps) of the full cost, up to rounding slack. With
-    index candidates and a precomputed distance matrix everything is a
-    table lookup; otherwise distances are computed on demand.
+    curves. All distances come from one table over the input curves:
+    an index names that input's column, and a candidate curve is added
+    as a column of its own. A member that equals the input its
+    ``member_indices`` entry names is read off that input's row; any
+    other member is measured as a row of its own. The full cost over
+    ``T`` and the weighted coreset cost are then reductions over the
+    same nearest distances, and the coreset passes when its cost lies
+    within (1 +- eps) of the full cost, up to rounding slack.
+    ``distances``, an input-by-input matrix, supplies the input rows of
+    index columns.
     """
     if kind not in ("center", "median"):
         raise ValueError("sandwich checks cover the center and median objectives")
     curves = list(T)
     n = len(curves)
+    table = PairwiseFrechet(curves, rel_tol)
     weights = np.asarray(coreset.weights, dtype=float)
     member_idx = coreset.meta.get("member_indices")
-    member_idx = None if member_idx is None else np.asarray(member_idx, dtype=int)
+    member_rows = []
+    for j, member in enumerate(coreset.members):
+        i = int(member_idx[j]) if member_idx is not None and j < len(member_idx) else -1
+        same = 0 <= i < n and np.array_equal(
+            _vertex_array(member), _vertex_array(curves[i])
+        )
+        member_rows.append(i if same else table.add(member))
+    row_count = len(table)
 
-    cache: dict[tuple[int, int], float] = {}
-
-    def dist(i, c) -> float:
-        # c is an input index when the matrix applies, else a curve
-        if distances is not None and isinstance(c, (int, np.integer)):
-            return float(distances[i, c])
-        key = (i, id(c))
-        v = cache.get(key)
-        if v is None:
-            v = frechet_distance(curves[i], c, rel_tol).value
-            cache[key] = v
-        return v
+    def column(c):
+        if distances is not None and c < n:
+            return np.concatenate([distances[:, c], table.column(c, range(n, row_count))])
+        return table.column(c, range(row_count))
 
     def candidate_costs(cand):
-        idx_cand = all(isinstance(c, (int, np.integer)) for c in cand)
-        if distances is not None and idx_cand and member_idx is not None:
-            cols = distances[:, list(cand)]
-            nearest = cols.min(axis=1)
-            full = nearest.max() if kind == "center" else nearest.sum()
-            core_near = cols[member_idx].min(axis=1)
-            core = (
-                core_near.max()
-                if kind == "center"
-                else float(weights @ core_near)
-            )
-            return float(full), float(core)
-        cc = [curves[c] if isinstance(c, (int, np.integer)) else c for c in cand]
-        full_near = [min(dist(i, c) for c in cc) for i in range(n)]
-        if member_idx is not None and distances is None:
-            core_vals = []
-            for w, mi in zip(weights, member_idx):
-                core_vals.append((w, full_near[mi]))
-        else:
-            core_vals = []
-            for w, member in zip(weights, coreset.members):
-                r = min(
-                    frechet_distance(member, c, rel_tol).value for c in cc
-                )
-                core_vals.append((w, r))
-        full = max(full_near) if kind == "center" else sum(full_near)
+        cols = [int(c) if isinstance(c, (int, np.integer)) else table.add(c) for c in cand]
+        near = np.min([column(c) for c in cols], axis=0)
+        full_near = near[:n]
+        core_near = near[member_rows]
         if kind == "center":
-            core = max(v for _, v in core_vals)
-        else:
-            core = sum(w * v for w, v in core_vals)
-        return float(full), float(core)
+            return float(full_near.max()), float(core_near.max())
+        # left-to-right sums, so reported costs do not depend on numpy's summation order
+        return float(sum(full_near.tolist())), float(sum((weights * core_near).tolist()))
 
     worst = -math.inf
     violations = []

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -227,6 +228,58 @@ def test_bench_emits_csv(tmp_path):
         assert int(row[6]) >= 1
         assert float(row[8]) >= 1.0 - 0.5 - 1e-9
         assert float(row[9]) <= 1.0 + 0.5 + 1e-9
+
+
+# sha256 of each output on small fixed-seed families; any change to an
+# output byte, such as one ulp in a reported cost, shows up here
+GOLDEN_DIGESTS = {
+    "cluster-center": "56d04f47265e36f468ef73587583a215e5d039940fb660f26bccba0daea230fe",
+    "cluster-center-discrete": "deec566fbb23a04f010c67411a6d0e43b20dc751d3f2fbc76e226197dd26d2b7",
+    "cluster-median": "05497a5a7ac10b97d3a47f4dfc9335d71bb5fa21c88156a2b5b28424922b8af4",
+    "coreset-segments": "1650bb1063b5acacd4d3b0d1e54658af48f90b2f0aff1f00f682267a6c255376",
+    "coreset-curves": "4bfcab8e6f54e7238792d0b8e5001272ec540b02680aa7daa9c8f0b4de3c7737",
+    "coreset-median": "ee152b1d4c2c2f4419957923ab709d5d0fac4b4e6fb53a8eac3cf18849266604",
+    "verify-segments": "714e8a5d9ebfe21255387d6a47225eb9c23aecdbaf4c065caafd610eff9ce5d5",
+    "verify-curves": "6c6eb06e23328da9eddd40e8bd7defa80b67e22cefb8d71ebee042475a9118da",
+    "verify-median": "9af45271f53b5883610ee3d4e01155f476ca921ea6a5c5b37f0dd30c2acda215",
+}
+
+
+def test_outputs_keep_their_recorded_bytes(tmp_path):
+    segs, curves = tmp_path / "segs.json", tmp_path / "curves.json"
+    assert run(["gen", "--seed", 31, "--clusters", 2, "--per-cluster", 15,
+                "--output", segs]) == EXIT_OK
+    assert run(["gen", "--seed", 32, "--clusters", 2, "--per-cluster", 6,
+                "--complexity", 5, "--step", 0.2, "--output", curves]) == EXIT_OK
+    steps = {
+        "cluster-center": ["cluster", "--input", curves, "--objective", "center",
+                           "--k", 2, "--l", 3],
+        "cluster-center-discrete": ["cluster", "--input", curves,
+                                    "--objective", "center-discrete", "--k", 2],
+        "cluster-median": ["cluster", "--input", curves, "--objective", "median",
+                           "--k", 2],
+        "coreset-segments": ["coreset", "--input", segs, "--variant", "center-segments",
+                             "--epsilon", 0.5, "--k", 2],
+        "coreset-curves": ["coreset", "--input", curves, "--variant", "center-curves",
+                           "--epsilon", 0.5, "--k", 2, "--l", 3],
+        "coreset-median": ["coreset", "--input", curves, "--variant", "median",
+                           "--epsilon", 0.9, "--k", 1, "--rho", 0.9, "--seed", 0],
+        "verify-segments": ["verify", "--input", segs,
+                            "--coreset", tmp_path / "coreset-segments",
+                            "--candidates", "exhaustive"],
+        "verify-curves": ["verify", "--input", curves,
+                          "--coreset", tmp_path / "coreset-curves",
+                          "--candidates", "random:5", "--seed", 1],
+        "verify-median": ["verify", "--input", curves,
+                          "--coreset", tmp_path / "coreset-median",
+                          "--candidates", "random:5", "--seed", 1],
+    }
+    got = {}
+    for name, argv in steps.items():
+        out = tmp_path / name
+        assert run(argv + ["--output", out]) == EXIT_OK
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GOLDEN_DIGESTS
 
 
 def test_unknown_command_exits_2():

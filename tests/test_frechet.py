@@ -1,5 +1,7 @@
 import math
 
+import hypothesis as hyp
+import hypothesis.strategies as hys
 import numpy as np
 import pytest
 
@@ -198,3 +200,19 @@ def test_in_ball():
     assert not in_ball(ball, Curve([[0.0, 1.1], [4.0, 1.1]]))
     with pytest.raises(ValueError):
         Ball(center, -1.0)
+
+
+@hyp.given(
+    m=hys.integers(2, 8),
+    q=hys.integers(2, 8),
+    d=hys.integers(1, 2),
+    seed=hys.integers(0, 2**32 - 1),
+)
+@hyp.settings(max_examples=60, deadline=None)
+def test_continuous_distance_is_bitwise_symmetric(m, q, d, seed):
+    # the pairwise table solves each unordered pair once and reuses it
+    # for both orders, which is only exact if the argument order is moot
+    rng = np.random.default_rng(seed)
+    a, b = random_curve(rng, m, d), random_curve(rng, q, d)
+    ab, ba = frechet_distance(a, b), frechet_distance(b, a)
+    assert (ab.value, ab.lower, ab.upper) == (ba.value, ba.lower, ba.upper)

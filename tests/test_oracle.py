@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curveclust import Curve
+from curveclust import frechet as frechet_module
 from curveclust.frechet import discrete_frechet, frechet_distance, simplify
 from curveclust.oracle import (
     GuardError,
@@ -197,6 +198,43 @@ def test_sandwich_fast_and_generic_paths_agree():
     for a, b in zip(fast.records, slow.records):
         assert a["full"] == pytest.approx(b["full"], abs=1e-9)
         assert a["coreset"] == pytest.approx(b["coreset"], abs=1e-9)
+
+
+def test_sandwich_solves_every_on_the_fly_candidate(monkeypatch):
+    # each candidate is built and dropped in turn, so new curves reuse the
+    # ids of freed ones; a cache keyed by identity would return stale costs
+    rng = np.random.default_rng(72)
+    T = random_segments(rng, 5, 2)
+    core = WeightedCoreset(list(T), np.ones(5), 0.5, {"member_indices": list(range(5))})
+    solves = []
+    real = frechet_module.discrete_frechet
+    monkeypatch.setattr(
+        frechet_module, "discrete_frechet", lambda p, q: solves.append(1) or real(p, q)
+    )
+
+    def fresh():
+        for _ in range(200):
+            yield [Curve(rng.normal(0.0, 5.0, (2, 2)))]
+
+    rep = coreset_sandwich_check(T, core, 0.5, fresh(), "median")
+    assert rep.checked == 200
+    assert len(solves) == 5 * 200
+
+
+def test_sandwich_measures_members_that_differ_from_their_inputs():
+    rng = np.random.default_rng(73)
+    T = _two_far_groups(rng)
+    moved = [Curve(c.vertices + 1000.0) for c in T]
+    core = WeightedCoreset(
+        moved, np.ones(len(T)), 0.25, {"member_indices": list(range(len(T)))}
+    )
+    M = PairwiseFrechet(list(T)).values()
+    cands = random_center_subsets(len(T), 2, 10, 4)
+    for kind in ("center", "median"):
+        for distances in (None, M):
+            rep = coreset_sandwich_check(T, core, 0.25, cands, kind, distances=distances)
+            assert not rep.passed
+            assert len(rep.violations) == 10
 
 
 def test_sandwich_rejects_unknown_kind():
