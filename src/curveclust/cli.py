@@ -151,6 +151,10 @@ def coresetfile_payload(coreset: WeightedCoreset, dimension: int) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def read_coresetfile(path: str):
     raw = _load_json(path)
     try:
@@ -162,6 +166,12 @@ def read_coresetfile(path: str):
         meta = dict(raw.get("meta", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path} is not a coreset file: {exc}") from None
+    idx = meta.get("member_indices", [])
+    if not isinstance(idx, list) or not all(_is_int(i) for i in idx):
+        raise CliError(f"{path}: meta.member_indices must be a list of integers")
+    k = meta.get("k", 1)
+    if not (_is_int(k) and k >= 1):
+        raise CliError(f"{path}: meta.k must be an integer of at least 1")
     return WeightedCoreset(members, np.asarray(weights), eps, meta)
 
 
@@ -239,11 +249,11 @@ def cmd_cluster(args) -> int:
     cs = read_curvefile(args.input)
     try:
         if args.objective == "center":
-            clust = kl_center_approx(cs, args.k, args.l, args.rel_tol)
+            clust = kl_center_approx(cs, args.k, args.l)
         elif args.objective == "center-discrete":
-            clust = k_center_approx(cs, args.k, args.rel_tol)
+            clust = k_center_approx(cs, args.k)
         else:
-            clust = k_median_approx(cs, args.k, rel_tol=args.rel_tol)
+            clust = k_median_approx(cs, args.k)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     payload = {
@@ -267,15 +277,9 @@ def cmd_cluster(args) -> int:
 
 
 _CORESET_VARIANTS = {
-    "center-segments": lambda cs, eps, a: center_coreset_segments(
-        cs, eps, a.k, a.rel_tol
-    ),
-    "center-curves": lambda cs, eps, a: center_coreset_curves(
-        cs, eps, a.k, a.l, a.rel_tol
-    ),
-    "median": lambda cs, eps, a: median_coreset(
-        cs, eps, a.k, a.rho, a.seed, a.rel_tol
-    ),
+    "center-segments": lambda cs, eps, a: center_coreset_segments(cs, eps, a.k),
+    "center-curves": lambda cs, eps, a: center_coreset_curves(cs, eps, a.k, a.l),
+    "median": lambda cs, eps, a: median_coreset(cs, eps, a.k, a.rho, a.seed),
 }
 
 
@@ -335,18 +339,12 @@ def cmd_verify(args) -> int:
     kind = "median" if variant == "median" else "center"
     if args.objective:
         kind = args.objective
-    k = args.k if args.k is not None else int(coreset.meta.get("k", 1))
+    k = args.k if args.k is not None else coreset.meta.get("k", 1)
     candidates = _parse_candidates(
         args.candidates, len(cs), k, args.seed, args.guard_n
     )
     report = coreset_sandwich_check(
-        cs,
-        coreset,
-        eps,
-        candidates,
-        kind=kind,
-        rel_tol=args.rel_tol,
-        keep_records=True,
+        cs, coreset, eps, candidates, kind=kind, keep_records=True
     )
     payload = {
         "kind": kind,
@@ -384,8 +382,7 @@ def cmd_bench(args) -> int:
             cands = random_center_subsets(len(cs), args.k, args.candidates, args.seed)
             kind = "median" if args.variant == "median" else "center"
             rep = coreset_sandwich_check(
-                cs, core, eps, cands, kind=kind, rel_tol=args.rel_tol,
-                keep_records=True,
+                cs, core, eps, cands, kind=kind, keep_records=True,
             )
             ratios = [r["coreset"] / r["full"] for r in rep.records if r["full"] > 0]
             rows.append(
@@ -412,11 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
-                       help="relative tolerance for continuous distances")
-        if output:
-            p.add_argument("--output", help="write here instead of stdout")
+    def output(p):
+        p.add_argument("--output", help="write here instead of stdout")
 
     p = sub.add_parser("gen", help="sample clustered curves into a curve file")
     p.add_argument("--clusters", type=int, default=3)
@@ -431,14 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.5,
                    help="vertex jitter within a cluster")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", help="write here instead of stdout")
+    output(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("dist", help="distance between two curves of a file")
     p.add_argument("--input", required=True)
     p.add_argument("first", help="label or index")
     p.add_argument("second", help="label or index")
-    common(p)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
+                   help="relative tolerance for the continuous distance")
+    output(p)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("cluster", help="cluster a curve file")
@@ -448,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, default=2,
                    help="vertex budget per center (center objective only)")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("coreset", help="build a coreset from a curve file")
@@ -461,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0 / 3.0,
                    help="failure probability budget (median only)")
     p.add_argument("--seed", type=int, help="sampling seed (median only)")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_coreset)
 
     p = sub.add_parser("verify", help="check a coreset against its input")
@@ -477,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed for random candidates")
     p.add_argument("--guard-n", type=int, default=200000,
                    help="refuse exhaustive enumeration beyond this many sets")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time constructions over an instance ladder")
@@ -494,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=int, default=50,
                    help="random candidate sets per row")
     p.add_argument("--seed", type=int, required=True)
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -7,11 +7,11 @@ keeping it verbatim (for the input-restricted variants). The
 sum-of-distances objective then improves the farthest-first seed by
 single-center swaps until no swap wins by a margin.
 
-Comparisons between bracketed distances are interval-aware: whenever
-brackets overlap enough to make an argmin or argmax ambiguous, the
-contenders are re-solved at tighter tolerance before the tie falls
-back to the lowest index. Costs and sums always use the midpoint
-values.
+Distances are plain numbers: each comparison takes the midpoint of the
+bracket that ``frechet_distance`` certifies at its default tolerance.
+Every algorithm here is a constant-factor approximation, so a wobble
+of that size changes none of their guarantees. Ties go to the lowest
+index, which makes every outcome deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Curve
-from .frechet import DEFAULT_REL_TOL, FrechetResult, frechet_distance, simplify
+from .frechet import frechet_distance, simplify
 
 __all__ = [
     "Objective",
@@ -35,9 +35,6 @@ __all__ = [
 ]
 
 KINDS = ("center", "median", "means")
-
-# tolerance floor for tie refinement; below this we accept the lowest index
-_TIE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,22 +77,17 @@ class PairwiseFrechet:
     Positions 0..n-1 are the input curves; ``add`` appends a further
     curve (a summarized center, a candidate, a coreset member that
     differs from its input) and returns its position. An entry is
-    solved on first access at the table's base tolerance, always as
-    (lower position, higher position), so each unordered pair is
-    solved once; the diagonal is 0 without a solve, and ``tighten``
-    re-solves an entry in place. Solved entries live in per-column
-    arrays of value, lower, upper and tolerance, four floats per row
-    rather than one object per pair. ``values`` materializes the
-    input-by-input midpoint matrix; the returned array is the table's
-    own buffer and reflects subsequent tightening.
+    solved on first access, always as (lower position, higher
+    position), so each unordered pair is solved once; the diagonal is
+    0 without a solve. Solved entries live in per-column arrays of
+    the distance and its certified upper bound, two floats per row
+    rather than one object per pair.
     """
 
-    def __init__(self, curves, rel_tol: float = DEFAULT_REL_TOL):
+    def __init__(self, curves):
         self.curves = list(curves)
         self.n = len(self.curves)
-        self.rel_tol = rel_tol
         self._cols: dict[int, np.ndarray] = {}
-        self._matrix = None
 
     def __len__(self):
         return len(self.curves)
@@ -106,14 +98,14 @@ class PairwiseFrechet:
         return len(self.curves) - 1
 
     def _column(self, j: int, rows: int) -> np.ndarray:
-        # column j stacks value, lower, upper and tolerance (NaN while
-        # unsolved) for at least ``rows`` table rows and every input row
+        # column j stacks value and upper bound (NaN while unsolved) for
+        # at least ``rows`` table rows and every input row
         col = self._cols.get(j)
         old = 0 if col is None else col.shape[1]
         if col is not None and rows <= old:
             return col
         size = max(rows, self.n)
-        new = np.full((4, size), np.nan)
+        new = np.full((2, size), np.nan)
         if col is not None:
             new[:, :old] = col
         # entries already solved from the other end of the pair
@@ -125,112 +117,60 @@ class PairwiseFrechet:
         self._cols[j] = new
         return new
 
-    def _solve(self, i: int, j: int, tol: float) -> FrechetResult:
+    def _solve(self, i: int, j: int):
         a, b = (i, j) if i < j else (j, i)
-        r = frechet_distance(self.curves[a], self.curves[b], tol)
-        entry = (r.value, r.lower, r.upper, r.tolerance)
-        self._cols[j][:, i] = entry
+        r = frechet_distance(self.curves[a], self.curves[b])
+        self._cols[j][:, i] = r.value, r.upper
         if i in self._cols:
-            self._column(i, j + 1)[:, j] = entry
-        if self._matrix is not None and b < self.n:
-            self._matrix[a, b] = self._matrix[b, a] = r.value
-        return r
-
-    def tighten(self, i: int, j: int, tol: float) -> FrechetResult:
-        """Entry (i, j), re-solved at ``tol`` unless already at least as tight."""
-        col = self._column(j, i + 1)
-        if np.isnan(col[0, i]) or col[3, i] > tol:
-            return self._solve(i, j, tol)
-        return FrechetResult(*col[:, i].tolist())
-
-    def result(self, i: int, j: int) -> FrechetResult:
-        return self.tighten(i, j, self.rel_tol)
-
-    def value(self, i: int, j: int) -> float:
-        return self.result(i, j).value
+            self._column(i, j + 1)[:, j] = r.value, r.upper
 
     def column(self, j: int, rows) -> np.ndarray:
         """Distances from ``rows`` to position ``j``, solving missing ones in row order."""
         rows = np.asarray(rows, dtype=int)
         col = self._column(j, rows.max(initial=-1) + 1)
         for i in rows[np.isnan(col[0, rows])]:
-            self._solve(int(i), j, self.rel_tol)
+            self._solve(int(i), j)
         return col[0, rows]
 
     def values(self) -> np.ndarray:
-        if self._matrix is None:
-            n = self.n
-            self._matrix = np.zeros((n, n))
-            for j in range(n):
-                self._matrix[:, j] = self.column(j, range(n))
-        return self._matrix
+        """The input-by-input distance matrix."""
+        M = np.zeros((self.n, self.n))
+        for j in range(self.n):
+            M[:, j] = self.column(j, range(self.n))
+        return M
 
-    def nearest(self, i: int, cols):
-        """Index into ``cols`` of the position nearest to row ``i``, and its entry."""
-        res = [self.result(i, j) for j in cols]
-        tol = max(r.tolerance for r in res)
-        while True:
-            best = min(range(len(res)), key=lambda p: (res[p].value, p))
-            rivals = [
-                p for p, r in enumerate(res) if p != best and r.lower < res[best].upper
-            ]
-            if not rivals or tol <= _TIE_FLOOR:
-                return best, res[best]
-            tol = max(tol / 10.0, _TIE_FLOOR)
-            for p in rivals + [best]:
-                res[p] = self.tighten(i, cols[p], tol)
+    def nearest(self, cols, rows):
+        """Nearest of ``cols`` to each of ``rows``, ties to the lowest index.
 
-    def farthest(self, cols):
-        """The input farthest from its nearest column in ``cols``.
-
-        Returns it with ``nearest(i, cols)`` for every input i. Rows
-        whose brackets do not overlap take their nearest column straight
-        from the column arrays. A contender is refined by tightening its
-        whole row, then searching its nearest column again.
+        Returns three arrays over ``rows``: the index into ``cols`` of
+        the nearest position, that entry's distance and its certified
+        upper bound.
         """
-        n = self.n
+        if not cols:
+            raise ValueError("no centers given")
+        rows = np.asarray(rows, dtype=int)
         for j in cols:
-            self.column(j, range(n))
-        E = np.stack([self._cols[j][:, :n] for j in cols])
-        first = E[:, 0].argmin(axis=0)
-        B = E[first, :, np.arange(n)]
-        overlap = E[:, 1] < B[:, 2]
-        overlap[first, np.arange(n)] = False
-        near = [(c, FrechetResult(*e)) for c, e in zip(first.tolist(), B.tolist())]
-        for i in np.flatnonzero(overlap.any(axis=0)).tolist():
-            near[i] = self.nearest(i, cols)
-        tol = max(r.tolerance for _, r in near)
-        while True:
-            best = max(range(len(near)), key=lambda i: (near[i][1].value, -i))
-            rivals = [
-                i
-                for i, (_, r) in enumerate(near)
-                if i != best and r.upper > near[best][1].lower
-            ]
-            if not rivals or tol <= _TIE_FLOOR:
-                return best, near
-            tol = max(tol / 10.0, _TIE_FLOOR)
-            for i in rivals + [best]:
-                for j in cols:
-                    self.tighten(i, j, tol)
-                near[i] = self.nearest(i, cols)
+            self.column(j, rows)
+        E = np.stack([self._cols[j][:, rows] for j in cols])
+        near = E[:, 0].argmin(axis=0)
+        value, upper = E[near, :, np.arange(len(rows))].T
+        return near, value, upper
 
 
-def nearest_center(curve, centers, rel_tol: float = DEFAULT_REL_TOL):
+def nearest_center(curve, centers):
     """Index and distance of the closest center, ties to the lowest index."""
-    centers = list(centers)
-    if not centers:
-        raise ValueError("no centers given")
-    table = PairwiseFrechet([curve], rel_tol)
-    i, r = table.nearest(0, [table.add(c) for c in centers])
-    return i, r.value
+    table = PairwiseFrechet([curve])
+    near, value, _ = table.nearest([table.add(c) for c in centers], [0])
+    return int(near[0]), float(value[0])
 
 
-def cost(T, centers, kind: str, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def cost(T, centers, kind: str) -> float:
     """Aggregate distance of every curve to its nearest center."""
     if kind not in KINDS:
         raise ValueError(f"unknown objective kind {kind!r}")
-    vals = [nearest_center(t, centers, rel_tol)[1] for t in T]
+    table = PairwiseFrechet(T)
+    cols = [table.add(c) for c in centers]
+    vals = table.nearest(cols, range(table.n))[1].tolist()
     if kind == "center":
         return float(max(vals))
     if kind == "median":
@@ -245,23 +185,23 @@ def _farthest_first(table, k, center_of):
     curve i as a center. The first center stands for curve 0; each
     later round picks the curve farthest from its nearest center.
     """
+    rows = range(table.n)
     cols = [center_of(0)]
     picked = [0]
     radii = []
     while True:
-        far, near = table.farthest(cols)
+        near, value, upper = table.nearest(cols, rows)
+        far = int(value.argmax())
         if len(cols) == k:
             break
-        radii.append(near[far][1].value)
+        radii.append(float(value[far]))
         picked.append(far)
         cols.append(center_of(far))
     centers = [table.curves[j] for j in cols]
-    assignment = [c for c, _ in near]
-    upper = np.array([r.upper for _, r in near])
-    return centers, picked, radii, assignment, near[far][1].value, upper
+    return centers, picked, radii, near.tolist(), float(value[far]), upper
 
 
-def kl_center_approx(T, k: int, l: int, rel_tol: float = DEFAULT_REL_TOL) -> Clustering:
+def kl_center_approx(T, k: int, l: int) -> Clustering:
     """Farthest-first max-radius clustering with centers summarized to ``l`` vertices.
 
     Every chosen curve is simplified before it becomes a center, so the
@@ -274,7 +214,7 @@ def kl_center_approx(T, k: int, l: int, rel_tol: float = DEFAULT_REL_TOL) -> Clu
         raise ValueError("cannot cluster an empty family")
     if k < 1:
         raise ValueError("k must be at least 1")
-    table = PairwiseFrechet(curves, rel_tol)
+    table = PairwiseFrechet(curves)
     centers, picked, radii, assignment, radius, upper = _farthest_first(
         table, k, lambda i: table.add(simplify(curves[i], l))
     )
@@ -287,7 +227,7 @@ def kl_center_approx(T, k: int, l: int, rel_tol: float = DEFAULT_REL_TOL) -> Clu
     return Clustering(centers, assignment, radius, Objective("center", k, l), meta)
 
 
-def k_center_approx(T, k: int, rel_tol: float = DEFAULT_REL_TOL) -> Clustering:
+def k_center_approx(T, k: int) -> Clustering:
     """Farthest-first max-radius clustering with centers drawn from the input."""
     curves = list(T)
     if not curves:
@@ -295,7 +235,7 @@ def k_center_approx(T, k: int, rel_tol: float = DEFAULT_REL_TOL) -> Clustering:
     if not 1 <= k <= len(curves):
         raise ValueError(f"k must be in 1..{len(curves)}, got {k}")
     centers, picked, radii, assignment, radius, upper = _farthest_first(
-        PairwiseFrechet(curves, rel_tol), k, lambda i: i
+        PairwiseFrechet(curves), k, lambda i: i
     )
     l = max(len(c) for c in curves)
     meta = {
@@ -306,9 +246,7 @@ def k_center_approx(T, k: int, rel_tol: float = DEFAULT_REL_TOL) -> Clustering:
     return Clustering(centers, assignment, radius, Objective("center", k, l), meta)
 
 
-def k_median_approx(
-    T, k: int, gamma: float | None = None, rel_tol: float = DEFAULT_REL_TOL
-) -> Clustering:
+def k_median_approx(T, k: int, gamma: float | None = None) -> Clustering:
     """Sum-of-distances clustering over input curves by seeded local search.
 
     Seeds with the farthest-first centers, then repeatedly applies the
@@ -329,7 +267,7 @@ def k_median_approx(
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
 
-    table = PairwiseFrechet(curves, rel_tol)
+    table = PairwiseFrechet(curves)
     M = table.values()
 
     chosen = _farthest_first(table, k, lambda i: i)[1]
@@ -362,7 +300,7 @@ def k_median_approx(
         if not found:
             break
 
-    assignment = [table.nearest(i, C)[0] for i in range(n)]
+    assignment = M[:, C].argmin(axis=1).tolist()
     final_cost = float(sum(M[i, C[a]] for i, a in enumerate(assignment)))
     l = max(len(c) for c in curves)
     meta = {
@@ -372,7 +310,6 @@ def k_median_approx(
         "gamma": gamma,
         "swaps": swaps,
         "distances": M,
-        "table": table,
     }
     return Clustering(
         [curves[i] for i in C],

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Curve, pad_to_complexity
-from .frechet import DEFAULT_REL_TOL
 from .geometry import Cube, Grid, Motion, align_to_last_axis, grid_cell_of
 from .clustering import Clustering, k_median_approx, kl_center_approx
 
@@ -76,15 +75,7 @@ class CoresetFailure:
     limit: float
 
 
-def _center_clustering(curves, k, l, rel_tol):
-    """Shared preamble of the grid constructions: cluster, then measure."""
-    clust = kl_center_approx(curves, k, l, rel_tol)
-    upper = clust.meta["nearest_upper"]
-    radius = float(upper.max())
-    return clust, radius
-
-
-def center_coreset_segments(T, eps: float, k: int, rel_tol: float = DEFAULT_REL_TOL) -> WeightedCoreset:
+def center_coreset_segments(T, eps: float, k: int) -> WeightedCoreset:
     """Grid coreset for the max-radius objective over segments.
 
     Buckets each segment by its assigned cluster and the grid cells of
@@ -102,7 +93,8 @@ def center_coreset_segments(T, eps: float, k: int, rel_tol: float = DEFAULT_REL_
     if any(len(c) != 2 for c in curves):
         raise ValueError("this construction handles segments only")
     d = curves[0].dimension
-    clust, radius = _center_clustering(curves, k, 2, rel_tol)
+    clust = kl_center_approx(curves, k, 2)
+    radius = float(clust.meta["nearest_upper"].max())
     meta = {
         "variant": "center-segments",
         "k": k,
@@ -141,9 +133,7 @@ def center_coreset_segments(T, eps: float, k: int, rel_tol: float = DEFAULT_REL_
     return WeightedCoreset([curves[i] for i in order], np.ones(len(order)), eps, meta)
 
 
-def center_coreset_curves(
-    T, eps: float, k: int, l: int, rel_tol: float = DEFAULT_REL_TOL
-):
+def center_coreset_curves(T, eps: float, k: int, l: int):
     """Grid coreset for the max-radius objective over curves.
 
     Inputs are padded to a common vertex count, clustered with centers
@@ -169,7 +159,8 @@ def center_coreset_curves(
     if m < 3:
         raise ValueError("use center_coreset_segments for segment families")
     padded = [pad_to_complexity(c, m) for c in curves]
-    clust, radius = _center_clustering(padded, k, l, rel_tol)
+    clust = kl_center_approx(padded, k, l)
+    radius = float(clust.meta["nearest_upper"].max())
     meta = {
         "variant": "center-curves",
         "k": k,
@@ -262,9 +253,7 @@ class SamplingDistribution:
     degenerate: bool = False
 
 
-def sampling_distribution(
-    T, k: int, rel_tol: float = DEFAULT_REL_TOL
-) -> SamplingDistribution:
+def sampling_distribution(T, k: int) -> SamplingDistribution:
     """Sensitivity-based sampling law from a local-search clustering.
 
     A curve's sensitivity adds a term for how far it sits from its
@@ -276,7 +265,7 @@ def sampling_distribution(
     n = len(curves)
     if n < 1:
         raise ValueError("cannot sample from an empty family")
-    clust = k_median_approx(curves, k, rel_tol=rel_tol)
+    clust = k_median_approx(curves, k)
     M = clust.meta["distances"]
     centers = np.asarray(clust.meta["center_indices"])
     assign = np.asarray(clust.assignment)
@@ -338,12 +327,7 @@ def draw_sample(dist: SamplingDistribution, size: int, seed) -> np.ndarray:
 
 
 def median_coreset(
-    T,
-    eps: float,
-    k: int,
-    rho: float = 1.0 / 3.0,
-    seed=0,
-    rel_tol: float = DEFAULT_REL_TOL,
+    T, eps: float, k: int, rho: float = 1.0 / 3.0, seed=0
 ) -> WeightedCoreset:
     """Sampling coreset for the sum-of-distances objective.
 
@@ -356,7 +340,7 @@ def median_coreset(
     """
     curves = list(T)
     n = len(curves)
-    dist = sampling_distribution(curves, k, rel_tol)
+    dist = sampling_distribution(curves, k)
     meta = {
         "variant": "median",
         "k": k,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import Curve, CurveSet
-from .frechet import DEFAULT_REL_TOL, _vertex_array
+from .frechet import _vertex_array, discrete_frechet
 from .clustering import PairwiseFrechet, cost as clustering_cost
 from .geometry import centroid, euclidean
 
@@ -25,6 +25,7 @@ __all__ = [
     "OracleReport",
     "exhaustive_discrete_frechet",
     "exhaustive_simplify_value",
+    "subdivided_frechet_bounds",
     "brute_force_discrete_center",
     "brute_force_discrete_median",
     "all_center_subsets",
@@ -126,6 +127,36 @@ def exhaustive_simplify_value(curve: Curve, l: int) -> float:
     return best
 
 
+def _subdivide(V: np.ndarray, h: float) -> np.ndarray:
+    # split every edge into equal pieces no longer than h, keeping the
+    # original vertices exactly
+    out = [V[:1]]
+    for a, b in zip(V[:-1], V[1:]):
+        pieces = max(1, math.ceil(float(np.linalg.norm(b - a)) / h))
+        out.append(a + (np.arange(1, pieces)[:, None] / pieces) * (b - a))
+        out.append(b[None])
+    return np.vstack(out)
+
+
+def subdivided_frechet_bounds(p, q, h: float) -> tuple[float, float]:
+    """Bracket on the continuous distance from subdivided discrete couplings.
+
+    Every edge of both curves is split into pieces of length at most
+    ``h``, and d is the discrete distance of the refined curves. A
+    vertex coupling interpolates to a traversal, so the continuous
+    distance is at most d; refining edges to length h brings the
+    discrete distance within h of the continuous one (Eiter and
+    Mannila 1994). Returns ``(d - h, d)``. No free-space geometry is
+    involved, which makes this an independent reference for the
+    continuous solver.
+    """
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    P, Q = _vertex_array(p), _vertex_array(q)
+    d = discrete_frechet(_subdivide(P, h), _subdivide(Q, h))
+    return d - h, d
+
+
 def _guard_instance(n, k):
     if n > MAX_ORACLE_CURVES or k > MAX_ORACLE_K:
         raise GuardError(
@@ -133,23 +164,23 @@ def _guard_instance(n, k):
         )
 
 
-def brute_force_discrete_center(T, k: int, rel_tol: float = DEFAULT_REL_TOL) -> OracleReport:
+def brute_force_discrete_center(T, k: int) -> OracleReport:
     """Optimal max-radius cost over all k-subsets of input curves."""
-    return _brute_force(T, k, "center", rel_tol)
+    return _brute_force(T, k, "center")
 
 
-def brute_force_discrete_median(T, k: int, rel_tol: float = DEFAULT_REL_TOL) -> OracleReport:
+def brute_force_discrete_median(T, k: int) -> OracleReport:
     """Optimal sum-of-distances cost over all k-subsets of input curves."""
-    return _brute_force(T, k, "median", rel_tol)
+    return _brute_force(T, k, "median")
 
 
-def _brute_force(T, k, kind, rel_tol):
+def _brute_force(T, k, kind):
     curves = list(T)
     n = len(curves)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     _guard_instance(n, k)
-    M = PairwiseFrechet(curves, rel_tol).values()
+    M = PairwiseFrechet(curves).values()
     best = math.inf
     arg = None
     for subset in itertools.combinations(range(n), k):
@@ -198,7 +229,6 @@ def coreset_sandwich_check(
     candidates,
     kind: str = "center",
     distances: np.ndarray | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
     keep_records: bool = False,
 ) -> SandwichReport:
     """Check that the coreset cost brackets the full cost for every candidate.
@@ -219,7 +249,7 @@ def coreset_sandwich_check(
         raise ValueError("sandwich checks cover the center and median objectives")
     curves = list(T)
     n = len(curves)
-    table = PairwiseFrechet(curves, rel_tol)
+    table = PairwiseFrechet(curves)
     weights = np.asarray(coreset.weights, dtype=float)
     member_idx = coreset.meta.get("member_indices")
     member_rows = []
@@ -298,7 +328,7 @@ class MeansCounterexample:
     split_cost: float
 
 
-def means_counterexample(rel_tol: float = DEFAULT_REL_TOL) -> MeansCounterexample:
+def means_counterexample() -> MeansCounterexample:
     """Fixed planar instance separating the two center constructions.
 
     The construction checks its own structure at runtime: the first
@@ -338,6 +368,6 @@ def means_counterexample(rel_tol: float = DEFAULT_REL_TOL) -> MeansCounterexampl
 
     centroid_center = Curve(np.vstack([mu0, mu1]), label="centroid")
     split_center = Curve(np.vstack([nu0, nu1]), label="split")
-    c_cost = clustering_cost(segs, [centroid_center], "means", rel_tol)
-    s_cost = clustering_cost(segs, [split_center], "means", rel_tol)
+    c_cost = clustering_cost(segs, [centroid_center], "means")
+    s_cost = clustering_cost(segs, [split_center], "means")
     return MeansCounterexample(segs, centroid_center, split_center, c_cost, s_cost)

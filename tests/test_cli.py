@@ -215,6 +215,27 @@ def test_verify_random_requires_seed(tmp_path):
                 "--candidates", "sideways"]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("member_indices", 5), ("member_indices", "nested"), ("k", [2])],
+)
+def test_verify_rejects_malformed_coreset_meta(tmp_path, capsys, key, value):
+    fam = tmp_path / "fam.json"
+    assert run(["gen", "--seed", 15, "--clusters", 2, "--per-cluster", 4,
+                "--output", fam]) == EXIT_OK
+    core = tmp_path / "core.json"
+    assert run(["coreset", "--input", fam, "--variant", "center-segments",
+                "--epsilon", 0.5, "--k", 2, "--output", core]) == EXIT_OK
+    raw = json.loads(core.read_text())
+    if value == "nested":
+        value = [[i] for i in raw["meta"]["member_indices"]]
+    raw["meta"][key] = value
+    core.write_text(json.dumps(raw))
+    assert run(["verify", "--input", fam, "--coreset", core,
+                "--candidates", "exhaustive"]) == EXIT_INVALID
+    assert key in capsys.readouterr().err
+
+
 def test_bench_emits_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--variant", "center-segments", "--sizes", "20,40",

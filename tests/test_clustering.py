@@ -63,9 +63,16 @@ def test_pairwise_table():
     assert M.shape == (6, 6)
     assert np.allclose(M, M.T)
     assert np.all(np.diag(M) == 0.0)
-    r = tb.tighten(0, 1, 1e-12)
-    assert r.tolerance <= 1e-12
-    assert M[0, 1] == r.value  # the buffer reflects tightening
+
+
+def test_exact_ties_go_to_lowest_index():
+    # 1-D segments have exact brackets, so these ties are exact too
+    T = [Curve([[a], [a + 1.0]]) for a in (0.0, 5.0, -5.0, 2.5)]
+    clust = k_center_approx(T, 3)
+    assert clust.meta["center_indices"] == [0, 1, 2]
+    assert clust.assignment == [0, 1, 2, 0]
+    assert clust.cost == 2.5
+    assert kl_center_approx(T, 3, 2).meta["picked_indices"] == [0, 1, 2]
 
 
 def test_kl_center_k1_center_is_first_simplified():

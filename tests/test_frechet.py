@@ -15,7 +15,7 @@ from curveclust.frechet import (
     segment_frechet,
     simplify,
 )
-from curveclust.oracle import exhaustive_simplify_value
+from curveclust.oracle import exhaustive_simplify_value, subdivided_frechet_bounds
 
 from util import random_curve
 
@@ -216,3 +216,21 @@ def test_continuous_distance_is_bitwise_symmetric(m, q, d, seed):
     a, b = random_curve(rng, m, d), random_curve(rng, q, d)
     ab, ba = frechet_distance(a, b), frechet_distance(b, a)
     assert (ab.value, ab.lower, ab.upper) == (ba.value, ba.lower, ba.upper)
+
+
+@hyp.given(
+    m=hys.integers(2, 6),
+    q=hys.integers(2, 6),
+    d=hys.integers(1, 2),
+    seed=hys.integers(0, 2**32 - 1),
+)
+@hyp.settings(max_examples=40, deadline=None)
+def test_continuous_bracket_meets_the_subdivided_reference(m, q, d, seed):
+    # the subdivided discrete distance shares no code with the free-space
+    # solver, so overlapping brackets check the solver independently
+    rng = np.random.default_rng(seed)
+    a, b = random_curve(rng, m, d, scale=1.0), random_curve(rng, q, d, scale=1.0)
+    r = frechet_distance(a, b)
+    lo, hi = subdivided_frechet_bounds(a, b, 0.05)
+    assert r.lower <= hi + 1e-9
+    assert r.upper >= lo - 1e-9
