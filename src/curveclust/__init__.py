@@ -2,15 +2,12 @@
 and discrete Frechet distances, with brute-force oracles for
 verification at desk scale."""
 
-from .curves import Curve, CurveSet, concatenate, edge, pad_to_complexity
+from .curves import Curve, CurveSet, pad_to_complexity
 from .frechet import (
-    Ball,
     FrechetResult,
     discrete_frechet,
     frechet_decision,
     frechet_distance,
-    in_ball,
-    segment_frechet,
     simplify,
 )
 from .clustering import (
@@ -21,7 +18,6 @@ from .clustering import (
     k_center_approx,
     k_median_approx,
     kl_center_approx,
-    nearest_center,
 )
 from .coresets import (
     CoresetFailure,

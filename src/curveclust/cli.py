@@ -43,8 +43,6 @@ from .oracle import (
     random_center_subsets,
 )
 
-log = logging.getLogger("curveclust")
-
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DECLINED = 3
@@ -131,11 +129,7 @@ def curvefile_payload(cs: CurveSet) -> dict:
 
 
 def coresetfile_payload(coreset: WeightedCoreset, dimension: int) -> dict:
-    meta = {
-        k: _jsonify(v)
-        for k, v in coreset.meta.items()
-        if k != "distribution" and not hasattr(v, "transform")
-    }
+    meta = {k: _jsonify(v) for k, v in coreset.meta.items() if k != "distribution"}
     return {
         "dimension": dimension,
         "epsilon": coreset.epsilon,
@@ -343,9 +337,7 @@ def cmd_verify(args) -> int:
     candidates = _parse_candidates(
         args.candidates, len(cs), k, args.seed, args.guard_n
     )
-    report = coreset_sandwich_check(
-        cs, coreset, eps, candidates, kind=kind, keep_records=True
-    )
+    report = coreset_sandwich_check(cs, coreset, eps, candidates, kind=kind)
     payload = {
         "kind": kind,
         "epsilon": eps,
@@ -381,9 +373,7 @@ def cmd_bench(args) -> int:
                 continue
             cands = random_center_subsets(len(cs), args.k, args.candidates, args.seed)
             kind = "median" if args.variant == "median" else "center"
-            rep = coreset_sandwich_check(
-                cs, core, eps, cands, kind=kind, keep_records=True,
-            )
+            rep = coreset_sandwich_check(cs, core, eps, cands, kind=kind)
             ratios = [r["coreset"] / r["full"] for r in rep.records if r["full"] > 0]
             rows.append(
                 [args.variant, len(cs), args.complexity, args.k, args.l, eps,

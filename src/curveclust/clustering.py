@@ -27,7 +27,6 @@ __all__ = [
     "Objective",
     "Clustering",
     "PairwiseFrechet",
-    "nearest_center",
     "cost",
     "kl_center_approx",
     "k_center_approx",
@@ -74,14 +73,14 @@ class Clustering:
 class PairwiseFrechet:
     """Lazily solved distance table over curve positions.
 
-    Positions 0..n-1 are the input curves; ``add`` appends a further
-    curve (a summarized center, a candidate, a coreset member that
-    differs from its input) and returns its position. An entry is
+    The rows are the n curves given to the constructor, at positions
+    0..n-1; ``add`` appends a further curve (a summarized center, a
+    candidate) as a column-only position and returns it. An entry is
     solved on first access, always as (lower position, higher
     position), so each unordered pair is solved once; the diagonal is
-    0 without a solve. Solved entries live in per-column arrays of
-    the distance and its certified upper bound, two floats per row
-    rather than one object per pair.
+    0 without a solve. Solved entries live in per-column arrays of the
+    distance and its certified upper bound, two floats for each of the
+    n rows rather than one object per pair.
     """
 
     def __init__(self, curves):
@@ -89,45 +88,38 @@ class PairwiseFrechet:
         self.n = len(self.curves)
         self._cols: dict[int, np.ndarray] = {}
 
-    def __len__(self):
-        return len(self.curves)
-
     def add(self, curve) -> int:
-        """Append a curve and return its position."""
+        """Append a column-only curve and return its position."""
         self.curves.append(curve)
         return len(self.curves) - 1
 
-    def _column(self, j: int, rows: int) -> np.ndarray:
-        # column j stacks value and upper bound (NaN while unsolved) for
-        # at least ``rows`` table rows and every input row
+    def _column(self, j: int) -> np.ndarray:
+        # column j stacks value and upper bound (NaN while unsolved) per row
         col = self._cols.get(j)
-        old = 0 if col is None else col.shape[1]
-        if col is not None and rows <= old:
-            return col
-        size = max(rows, self.n)
-        new = np.full((2, size), np.nan)
         if col is not None:
-            new[:, :old] = col
-        # entries already solved from the other end of the pair
-        for i, other in self._cols.items():
-            if old <= i < size and j < other.shape[1]:
-                new[:, i] = other[:, j]
-        if old <= j < size:
-            new[:, j] = 0.0
-        self._cols[j] = new
-        return new
+            return col
+        col = np.full((2, self.n), np.nan)
+        if j < self.n:
+            # entries already solved from the other end of the pair
+            for i in range(self.n):
+                other = self._cols.get(i)
+                if other is not None:
+                    col[:, i] = other[:, j]
+            col[:, j] = 0.0
+        self._cols[j] = col
+        return col
 
     def _solve(self, i: int, j: int):
         a, b = (i, j) if i < j else (j, i)
         r = frechet_distance(self.curves[a], self.curves[b])
         self._cols[j][:, i] = r.value, r.upper
-        if i in self._cols:
-            self._column(i, j + 1)[:, j] = r.value, r.upper
+        if j < self.n and i in self._cols:
+            self._cols[i][:, j] = r.value, r.upper
 
     def column(self, j: int, rows) -> np.ndarray:
         """Distances from ``rows`` to position ``j``, solving missing ones in row order."""
         rows = np.asarray(rows, dtype=int)
-        col = self._column(j, rows.max(initial=-1) + 1)
+        col = self._column(j)
         for i in rows[np.isnan(col[0, rows])]:
             self._solve(int(i), j)
         return col[0, rows]
@@ -155,13 +147,6 @@ class PairwiseFrechet:
         near = E[:, 0].argmin(axis=0)
         value, upper = E[near, :, np.arange(len(rows))].T
         return near, value, upper
-
-
-def nearest_center(curve, centers):
-    """Index and distance of the closest center, ties to the lowest index."""
-    table = PairwiseFrechet([curve])
-    near, value, _ = table.nearest([table.add(c) for c in centers], [0])
-    return int(near[0]), float(value[0])
 
 
 def cost(T, centers, kind: str) -> float:
@@ -246,15 +231,15 @@ def k_center_approx(T, k: int) -> Clustering:
     return Clustering(centers, assignment, radius, Objective("center", k, l), meta)
 
 
-def k_median_approx(T, k: int, gamma: float | None = None) -> Clustering:
+def k_median_approx(T, k: int) -> Clustering:
     """Sum-of-distances clustering over input curves by seeded local search.
 
     Seeds with the farthest-first centers, then repeatedly applies the
     first swap of one center for one non-center that improves the cost
-    by more than ``gamma`` times the seed cost. Swap candidates are
+    by more than 1/(3 k n) times the seed cost. Swap candidates are
     scanned by ascending center index, then ascending replacement
     index, restarting from the top after every swap, so the result is
-    deterministic. ``gamma`` defaults to 1/(3 k n).
+    deterministic.
     """
     curves = list(T)
     n = len(curves)
@@ -262,10 +247,7 @@ def k_median_approx(T, k: int, gamma: float | None = None) -> Clustering:
         raise ValueError("cannot cluster an empty family")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if gamma is None:
-        gamma = 1.0 / (3.0 * k * n)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
+    gamma = 1.0 / (3.0 * k * n)
 
     table = PairwiseFrechet(curves)
     M = table.values()

@@ -13,6 +13,7 @@ in expectation exactly.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ __all__ = [
     "draw_sample",
     "median_coreset",
 ]
+
+log = logging.getLogger("curveclust")
 
 # relative inflation of the clustering radius so that certified upper
 # bounds, not midpoints, define the coverage region
@@ -103,6 +106,7 @@ def center_coreset_segments(T, eps: float, k: int) -> WeightedCoreset:
     }
     if radius == 0.0:
         # all segments coincide with their centers; one stands for all
+        log.info("center-segments: clustering radius is 0, keeping one member")
         meta["member_indices"] = [0]
         return WeightedCoreset([curves[0]], np.ones(1), eps, meta)
     cover = radius * (1.0 + _COVER_SLACK)
@@ -170,6 +174,7 @@ def center_coreset_curves(T, eps: float, k: int, l: int):
         "degenerate": radius == 0.0,
     }
     if radius == 0.0:
+        log.info("center-curves: clustering radius is 0, keeping one member")
         meta["member_indices"] = [0]
         return WeightedCoreset([curves[0]], np.ones(1), eps, meta)
 
@@ -180,6 +185,10 @@ def center_coreset_curves(T, eps: float, k: int, l: int):
     longest = max(float(np.linalg.norm(b - a)) for a, b in edges)
     # a long-edge instance would blow past the sublinear bucket budget
     if longest > 0.0 and m * math.log(longest / radius) > 0.5 * math.log(n):
+        log.info(
+            "center-curves: declined, (longest edge %r / cost %r)^%d exceeds sqrt(n) = %r",
+            longest, radius, m, math.sqrt(n),
+        )
         return CoresetFailure(longest, radius, math.sqrt(n))
 
     cover = radius * (1.0 + _COVER_SLACK)
@@ -243,12 +252,6 @@ class SamplingDistribution:
     sensitivities: np.ndarray
     normalizer: float
     cumulative: np.ndarray
-    cluster_of: np.ndarray
-    cluster_sizes: np.ndarray
-    cluster_mean_cost: np.ndarray
-    cost_scale: float
-    alpha: float
-    gamma: float
     clustering: Clustering
     degenerate: bool = False
 
@@ -277,6 +280,7 @@ def sampling_distribution(T, k: int) -> SamplingDistribution:
     scale = total / (6.0 * n)
     degenerate = total <= 0.0
     if degenerate:
+        log.info("sampling law: clustering cost is 0, using the uniform law")
         sens = np.ones(n)
     else:
         sens = (2.0 * means[assign] + to_center) / (0.75 * scale) + 8.0 * n / sizes[assign]
@@ -287,12 +291,6 @@ def sampling_distribution(T, k: int) -> SamplingDistribution:
         sensitivities=sens,
         normalizer=normalizer,
         cumulative=np.cumsum(probabilities),
-        cluster_of=assign,
-        cluster_sizes=sizes,
-        cluster_mean_cost=means,
-        cost_scale=scale,
-        alpha=6.0,
-        gamma=0.25,
         clustering=clust,
         degenerate=degenerate,
     )

@@ -15,9 +15,7 @@ import numpy as np
 __all__ = [
     "Curve",
     "CurveSet",
-    "concatenate",
     "pad_to_complexity",
-    "edge",
 ]
 
 
@@ -43,10 +41,6 @@ class Curve:
         self.label = label
 
     def __len__(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def complexity(self) -> int:
         return self.vertices.shape[0]
 
     @property
@@ -101,23 +95,6 @@ class CurveSet:
     def dimension(self) -> int:
         return self.curves[0].dimension
 
-    @property
-    def max_complexity(self) -> int:
-        return max(len(c) for c in self.curves)
-
-
-def concatenate(first: Curve, second: Curve) -> Curve:
-    """Join two curves that share a joint vertex.
-
-    The last vertex of ``first`` must equal the first vertex of
-    ``second`` exactly; it appears once in the result.
-    """
-    if first.dimension != second.dimension:
-        raise ValueError("cannot concatenate curves of different dimensions")
-    if not np.array_equal(first.vertices[-1], second.vertices[0]):
-        raise ValueError("curves do not share a joint vertex")
-    return Curve(np.vstack([first.vertices, second.vertices[1:]]), label=first.label)
-
 
 def pad_to_complexity(curve: Curve, m: int) -> Curve:
     """Clone the first vertex until the curve has exactly ``m`` vertices.
@@ -134,9 +111,3 @@ def pad_to_complexity(curve: Curve, m: int) -> Curve:
     pad = np.repeat(curve.vertices[:1], m - have, axis=0)
     return Curve(np.vstack([pad, curve.vertices]), label=curve.label)
 
-
-def edge(curve: Curve, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of the j-th edge, numbered from 1."""
-    if not 1 <= j <= len(curve) - 1:
-        raise ValueError(f"edge index must be in 1..{len(curve) - 1}, got {j}")
-    return curve.vertices[j - 1], curve.vertices[j]

@@ -21,13 +21,10 @@ from .curves import Curve
 
 __all__ = [
     "FrechetResult",
-    "Ball",
-    "segment_frechet",
     "discrete_frechet",
     "frechet_decision",
     "frechet_distance",
     "simplify",
-    "in_ball",
 ]
 
 DEFAULT_REL_TOL = 1e-9
@@ -50,18 +47,6 @@ class FrechetResult:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class Ball:
-    """All curves within ``radius`` of ``center`` in continuous distance."""
-
-    center: Curve
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0.0:
-            raise ValueError("radius must be nonnegative")
-
-
 def _vertex_array(c) -> np.ndarray:
     if isinstance(c, Curve):
         return c.vertices
@@ -78,22 +63,6 @@ def _check_pair(P: np.ndarray, Q: np.ndarray):
         raise ValueError(f"dimension mismatch: {P.shape[1]} vs {Q.shape[1]}")
     if len(P) < 2 or len(Q) < 2:
         raise ValueError("curves need at least two vertices here")
-
-
-def segment_frechet(s1: Curve, s2: Curve) -> float:
-    """Distance between two segments: the larger endpoint distance.
-
-    For single edges the optimal traversal is the uniform one, so no
-    search is needed.
-    """
-    a, b = _vertex_array(s1), _vertex_array(s2)
-    if len(a) != 2 or len(b) != 2:
-        raise ValueError("segment_frechet needs exactly two vertices per curve")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return float(
-        max(np.linalg.norm(a[0] - b[0]), np.linalg.norm(a[1] - b[1]))
-    )
 
 
 def discrete_frechet(p, q) -> float:
@@ -334,11 +303,3 @@ def simplify(curve: Curve, l: int) -> Curve:
     idx = sorted(kept)
     return Curve(V[idx], label=curve.label)
 
-
-def in_ball(ball: Ball, t, rel_tol: float | None = None) -> bool:
-    """Whether curve ``t`` lies within the ball, decided exactly.
-
-    ``rel_tol`` is accepted for signature symmetry but ignored: the
-    threshold test needs no tolerance.
-    """
-    return frechet_decision(ball.center, t, ball.radius)

@@ -229,44 +229,50 @@ def coreset_sandwich_check(
     candidates,
     kind: str = "center",
     distances: np.ndarray | None = None,
-    keep_records: bool = False,
 ) -> SandwichReport:
     """Check that the coreset cost brackets the full cost for every candidate.
 
     Candidates are either tuples of input indices or sequences of
-    curves. All distances come from one table over the input curves:
-    an index names that input's column, and a candidate curve is added
-    as a column of its own. A member that equals the input its
-    ``member_indices`` entry names is read off that input's row; any
-    other member is measured as a row of its own. The full cost over
-    ``T`` and the weighted coreset cost are then reductions over the
-    same nearest distances, and the coreset passes when its cost lies
-    within (1 +- eps) of the full cost, up to rounding slack.
+    curves. All distances come from one table whose rows are the input
+    curves followed by every member that differs from the input its
+    ``member_indices`` entry names; a member equal to that input is
+    read off the input's row. An index names that input's column, and
+    a candidate curve is added as a column of its own. The full cost
+    over ``T`` and the weighted coreset cost are then reductions over
+    the same nearest distances, and the coreset passes when its cost
+    lies within (1 +- eps) of the full cost, up to rounding slack.
     ``distances``, an input-by-input matrix, supplies the input rows of
-    index columns.
+    index columns. Every candidate gets a record. ``eps`` must lie in
+    (0, 1), and at least one candidate, each with at least one center,
+    must be given.
     """
     if kind not in ("center", "median"):
         raise ValueError("sandwich checks cover the center and median objectives")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     curves = list(T)
     n = len(curves)
-    table = PairwiseFrechet(curves)
     weights = np.asarray(coreset.weights, dtype=float)
     member_idx = coreset.meta.get("member_indices")
     member_rows = []
+    differing = []
     for j, member in enumerate(coreset.members):
         i = int(member_idx[j]) if member_idx is not None and j < len(member_idx) else -1
-        same = 0 <= i < n and np.array_equal(
-            _vertex_array(member), _vertex_array(curves[i])
-        )
-        member_rows.append(i if same else table.add(member))
-    row_count = len(table)
+        if 0 <= i < n and np.array_equal(_vertex_array(member), _vertex_array(curves[i])):
+            member_rows.append(i)
+        else:
+            member_rows.append(n + len(differing))
+            differing.append(member)
+    table = PairwiseFrechet(curves + differing)
 
     def column(c):
         if distances is not None and c < n:
-            return np.concatenate([distances[:, c], table.column(c, range(n, row_count))])
-        return table.column(c, range(row_count))
+            return np.concatenate([distances[:, c], table.column(c, range(n, table.n))])
+        return table.column(c, range(table.n))
 
     def candidate_costs(cand):
+        if not cand:
+            raise ValueError("every candidate center set needs at least one center")
         cols = [int(c) if isinstance(c, (int, np.integer)) else table.add(c) for c in cand]
         near = np.min([column(c) for c in cols], axis=0)
         full_near = near[:n]
@@ -279,7 +285,6 @@ def coreset_sandwich_check(
     worst = -math.inf
     violations = []
     records = []
-    checked = 0
     for cand in candidates:
         full, core = candidate_costs(tuple(cand))
         lo = (1.0 - eps) * full
@@ -298,11 +303,11 @@ def coreset_sandwich_check(
         }
         if not ok:
             violations.append(rec)
-        if keep_records:
-            records.append(rec)
-        checked += 1
+        records.append(rec)
+    if not records:
+        raise ValueError("no candidate center sets to check")
     return SandwichReport(
-        checked=checked,
+        checked=len(records),
         passed=not violations,
         worst_margin=worst,
         violations=violations,

@@ -236,6 +236,32 @@ def test_verify_rejects_malformed_coreset_meta(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["file-epsilon", "epsilon", "k"])
+def test_verify_rejects_out_of_range_epsilon_and_k(tmp_path, capsys, case):
+    # each of these used to pass silently or end in a numpy error
+    fam = tmp_path / "fam.json"
+    assert run(["gen", "--seed", 16, "--clusters", 2, "--per-cluster", 4,
+                "--output", fam]) == EXIT_OK
+    core = tmp_path / "core.json"
+    assert run(["coreset", "--input", fam, "--variant", "center-segments",
+                "--epsilon", 0.5, "--k", 2, "--output", core]) == EXIT_OK
+    argv = ["verify", "--input", fam, "--coreset", core, "--candidates", "exhaustive"]
+    message = "eps must be in (0, 1)"
+    if case == "file-epsilon":
+        raw = json.loads(core.read_text())
+        raw["epsilon"] = 100
+        core.write_text(json.dumps(raw))
+    elif case == "epsilon":
+        argv += ["--epsilon", 1.5]
+    else:
+        argv += ["--k", 0]
+        message = "needs at least one center"
+    capsys.readouterr()
+    assert run(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_bench_emits_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--variant", "center-segments", "--sizes", "20,40",

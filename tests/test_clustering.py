@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import curveclust.clustering as clustering_module
 from curveclust import Curve, CurveSet, simplify
 from curveclust.clustering import (
     Clustering,
@@ -10,7 +11,6 @@ from curveclust.clustering import (
     k_center_approx,
     k_median_approx,
     kl_center_approx,
-    nearest_center,
 )
 from curveclust.oracle import (
     brute_force_discrete_center,
@@ -33,14 +33,16 @@ def test_objective_validation():
 def test_nearest_center_prefers_lowest_index():
     t = Curve([[0.0, 0.0], [1.0, 0.0]])
     centers = [Curve([[0.0, 1.0], [1.0, 1.0]]), Curve([[0.0, -1.0], [1.0, -1.0]])]
-    idx, val = nearest_center(t, centers)
-    assert idx == 0
-    assert val == pytest.approx(1.0, abs=1e-9)
-    idx, val = nearest_center(t, [centers[0], t, t])
-    assert idx == 1
-    assert val == 0.0
+    table = PairwiseFrechet([t])
+    near, value, _ = table.nearest([table.add(c) for c in centers], [0])
+    assert near.tolist() == [0]
+    assert value[0] == pytest.approx(1.0, abs=1e-9)
+    table = PairwiseFrechet([t])
+    near, value, _ = table.nearest([table.add(c) for c in (centers[0], t, t)], [0])
+    assert near.tolist() == [1]
+    assert value[0] == 0.0
     with pytest.raises(ValueError):
-        nearest_center(t, [])
+        table.nearest([], [0])
 
 
 def test_cost_kinds():
@@ -63,6 +65,28 @@ def test_pairwise_table():
     assert M.shape == (6, 6)
     assert np.allclose(M, M.T)
     assert np.all(np.diag(M) == 0.0)
+
+
+def test_pairwise_table_solves_each_pair_once(monkeypatch):
+    # partly filled columns must share entries both ways, so no pair is
+    # solved twice, and every solve takes the lower position first
+    rng = np.random.default_rng(3)
+    curves = random_segments(rng, 6, 2)
+    position = {id(c): i for i, c in enumerate(curves)}
+    solved = []
+    real = clustering_module.frechet_distance
+
+    def counted(a, b):
+        solved.append((position[id(a)], position[id(b)]))
+        return real(a, b)
+
+    monkeypatch.setattr(clustering_module, "frechet_distance", counted)
+    tb = PairwiseFrechet(curves)
+    tb.column(4, [0, 1])
+    tb.column(2, range(6))
+    M = tb.values()
+    assert sorted(solved) == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert np.array_equal(M, M.T)
 
 
 def test_exact_ties_go_to_lowest_index():
@@ -202,8 +226,6 @@ def test_k_median_rejects_bad_arguments():
     curves = random_segments(rng, 4, 2)
     with pytest.raises(ValueError):
         k_median_approx(curves, 5)
-    with pytest.raises(ValueError):
-        k_median_approx(curves, 2, gamma=0.0)
 
 
 def test_clustering_dataclass_holds_meta():

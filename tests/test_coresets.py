@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -157,7 +158,6 @@ def test_sampling_distribution_mass_and_positivity():
         assert (dist.probabilities > 0.0).all()
         assert dist.cumulative[-1] == pytest.approx(1.0, abs=1e-9)
         assert (np.diff(dist.cumulative) >= 0.0).all()
-        assert dist.alpha == 6.0 and dist.gamma == 0.25
 
 
 def test_sampling_distribution_normalizer_identity():
@@ -183,6 +183,35 @@ def test_sampling_distribution_degenerate_uniform():
     dist = sampling_distribution([seg] * 6, 2)
     assert dist.degenerate
     assert np.allclose(dist.probabilities, 1.0 / 6.0)
+
+
+def test_constructions_log_their_decisions(caplog):
+    seg = Curve([[1.0, 1.0], [2.0, 2.0]])
+    tri = Curve([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
+    base = np.array([[0.0, 0.0], [120.0, 0.0], [240.0, 0.0]])
+    rng = np.random.default_rng(46)
+    long_edges = [Curve(base + rng.normal(0.0, 0.005, (3, 2))) for _ in range(8)]
+
+    def build():
+        center_coreset_segments([seg] * 4, 0.5, 1)
+        center_coreset_curves([tri] * 4, 0.5, 1, 3)
+        center_coreset_curves(long_edges, 0.5, 1, 3)
+        sampling_distribution([seg] * 4, 1)
+
+    build()
+    assert not caplog.records  # nothing below WARNING by default
+    caplog.set_level(logging.INFO, logger="curveclust")
+    build()
+    got = [(r.name, r.levelno, r.getMessage().split(":")[0]) for r in caplog.records]
+    assert got == [
+        ("curveclust", logging.INFO, "center-segments"),
+        ("curveclust", logging.INFO, "center-curves"),
+        ("curveclust", logging.INFO, "center-curves"),
+        ("curveclust", logging.INFO, "sampling law"),
+    ]
+    assert "radius is 0" in caplog.records[1].getMessage()
+    assert "declined" in caplog.records[2].getMessage()
+    assert "uniform" in caplog.records[3].getMessage()
 
 
 def test_expectation_preserved_exactly():

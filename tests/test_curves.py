@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curveclust import Curve, CurveSet, concatenate, edge, pad_to_complexity
+from curveclust import Curve, CurveSet, pad_to_complexity
 from curveclust.frechet import discrete_frechet, frechet_distance
 
 from util import random_curve
@@ -10,7 +10,6 @@ from util import random_curve
 def test_curve_basics():
     c = Curve([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], label="a")
     assert len(c) == 3
-    assert c.complexity == 3
     assert c.dimension == 2
     assert np.array_equal(c.start, [0.0, 0.0])
     assert np.array_equal(c.end, [3.0, 1.0])
@@ -51,37 +50,20 @@ def test_curveset_properties():
     cs = CurveSet([Curve([[0.0], [1.0]]), Curve([[0.0], [1.0], [2.0]])])
     assert len(cs) == 2
     assert cs.dimension == 1
-    assert cs.max_complexity == 3
     assert [len(c) for c in cs] == [2, 3]
 
 
-def test_concatenate_joins_on_shared_vertex():
-    a = Curve([[0.0, 0.0], [1.0, 0.0]])
-    b = Curve([[1.0, 0.0], [2.0, 0.0]])
-    joined = concatenate(a, b)
-    assert joined.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
-
-
-def test_concatenate_degenerate_tail_is_identity():
-    a = Curve([[0.0, 0.0], [1.0, 5.0]])
-    tail = Curve([[1.0, 5.0]])
-    assert concatenate(a, tail).vertices.tolist() == a.vertices.tolist()
-
-
-def test_concatenate_rejects_disjoint():
-    with pytest.raises(ValueError):
-        concatenate(Curve([[0.0], [1.0]]), Curve([[2.0], [3.0]]))
-
-
 def test_concatenate_distance_bound():
-    # joining pieces cannot push the distance past the worst piece
+    # joining pieces at a shared vertex cannot push the distance past the worst piece
     rng = np.random.default_rng(17)
     for _ in range(50):
         t1 = random_curve(rng, 3, 2)
         s1 = random_curve(rng, 3, 2)
         t2 = Curve(np.vstack([t1.vertices[-1], rng.normal(0.0, 5.0, (2, 2))]))
         s2 = Curve(np.vstack([s1.vertices[-1], rng.normal(0.0, 5.0, (2, 2))]))
-        whole = frechet_distance(concatenate(t1, t2), concatenate(s1, s2)).value
+        t = Curve(np.vstack([t1.vertices, t2.vertices[1:]]))
+        s = Curve(np.vstack([s1.vertices, s2.vertices[1:]]))
+        whole = frechet_distance(t, s).value
         pieces = max(frechet_distance(t1, s1).value, frechet_distance(t2, s2).value)
         assert whole <= pieces + 1e-6
 
@@ -115,13 +97,3 @@ def test_pad_never_moves_the_curve():
         d1 = frechet_distance(other, p).value
         assert d1 == pytest.approx(d0, abs=1e-8 * (1.0 + d0))
 
-
-def test_edge_indexing():
-    c = Curve([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    a, b = edge(c, 1)
-    assert np.array_equal(a, [0.0, 0.0]) and np.array_equal(b, [1.0, 0.0])
-    a, b = edge(c, 2)
-    assert np.array_equal(a, [1.0, 0.0]) and np.array_equal(b, [1.0, 1.0])
-    for bad in (0, 3):
-        with pytest.raises(ValueError):
-            edge(c, bad)

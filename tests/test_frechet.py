@@ -5,14 +5,11 @@ import hypothesis.strategies as hys
 import numpy as np
 import pytest
 
-from curveclust import Curve, pad_to_complexity
+from curveclust import Curve, Motion, pad_to_complexity
 from curveclust.frechet import (
-    Ball,
     discrete_frechet,
     frechet_decision,
     frechet_distance,
-    in_ball,
-    segment_frechet,
     simplify,
 )
 from curveclust.oracle import exhaustive_simplify_value, subdivided_frechet_bounds
@@ -25,15 +22,11 @@ def seg(a, b):
 
 
 def test_segment_frechet_values():
-    assert segment_frechet(seg([0.0, 0.0], [1.0, 0.0]), seg([0.0, 1.0], [1.0, 1.0])) == 1.0
-    assert segment_frechet(seg([0.0], [4.0]), seg([0.0], [1.0])) == 3.0
+    # for single edges the bracket starts collapsed at the endpoint maximum
+    assert frechet_distance(seg([0.0, 0.0], [1.0, 0.0]), seg([0.0, 1.0], [1.0, 1.0])).value == 1.0
+    assert frechet_distance(seg([0.0], [4.0]), seg([0.0], [1.0])).value == 3.0
     s = seg([2.0, 2.0], [3.0, 5.0])
-    assert segment_frechet(s, s) == 0.0
-
-
-def test_segment_frechet_rejects_longer_curves():
-    with pytest.raises(ValueError):
-        segment_frechet(Curve([[0.0], [1.0], [2.0]]), seg([0.0], [1.0]))
+    assert frechet_distance(s, s).value == 0.0
 
 
 def test_segment_formula_matches_bisection():
@@ -41,7 +34,11 @@ def test_segment_formula_matches_bisection():
     for _ in range(200):
         a, b = random_curve(rng, 2, 2), random_curve(rng, 2, 2)
         r = frechet_distance(a, b)
-        assert abs(r.value - segment_frechet(a, b)) <= 1e-7
+        ends = max(
+            np.linalg.norm(a.vertices[0] - b.vertices[0]),
+            np.linalg.norm(a.vertices[1] - b.vertices[1]),
+        )
+        assert abs(r.value - ends) <= 1e-7
 
 
 def test_discrete_values():
@@ -193,13 +190,13 @@ def test_simplify_rejects_tiny_budget():
 
 
 def test_in_ball():
+    # membership in the ball of radius 1 around a center is the decision at 1
     center = Curve([[0.0, 0.0], [4.0, 0.0]])
-    ball = Ball(center, 1.0)
-    assert in_ball(ball, Curve([[0.0, 0.5], [4.0, 0.5]]))
-    assert in_ball(ball, Curve([[0.0, 1.0], [4.0, 1.0]]))
-    assert not in_ball(ball, Curve([[0.0, 1.1], [4.0, 1.1]]))
+    assert frechet_decision(center, Curve([[0.0, 0.5], [4.0, 0.5]]), 1.0)
+    assert frechet_decision(center, Curve([[0.0, 1.0], [4.0, 1.0]]), 1.0)
+    assert not frechet_decision(center, Curve([[0.0, 1.1], [4.0, 1.1]]), 1.0)
     with pytest.raises(ValueError):
-        Ball(center, -1.0)
+        frechet_decision(center, center, -1.0)
 
 
 @hyp.given(
@@ -234,3 +231,74 @@ def test_continuous_bracket_meets_the_subdivided_reference(m, q, d, seed):
     lo, hi = subdivided_frechet_bounds(a, b, 0.05)
     assert r.lower <= hi + 1e-9
     assert r.upper >= lo - 1e-9
+
+
+_pairs = dict(
+    m=hys.integers(2, 6),
+    q=hys.integers(2, 6),
+    d=hys.integers(1, 3),
+    seed=hys.integers(0, 2**32 - 1),
+)
+
+
+@hyp.given(**_pairs)
+@hyp.settings(max_examples=60, deadline=None)
+def test_continuous_value_is_at_most_the_discrete_distance(m, q, d, seed):
+    # the discrete distance opens the bracket as its upper end; it can
+    # only be undercut by rounding, in which case the bracket collapses
+    # onto the endpoint bound computed from the same vertices
+    rng = np.random.default_rng(seed)
+    a, b = random_curve(rng, m, d), random_curve(rng, q, d)
+    dd = discrete_frechet(a, b)
+    assert frechet_distance(a, b).value <= dd + 1e-12 * max(1.0, dd)
+
+
+@hyp.given(extra=hys.integers(1, 4), **_pairs)
+@hyp.settings(max_examples=40, deadline=None)
+def test_distance_is_unchanged_by_padding(m, q, d, seed, extra):
+    # padded clones sit on the start vertex; both brackets have width at
+    # most 1e-9 * max(1, upper) around the same distance
+    rng = np.random.default_rng(seed)
+    a, b = random_curve(rng, m, d), random_curve(rng, q, d)
+    r0 = frechet_distance(a, b)
+    r1 = frechet_distance(pad_to_complexity(a, m + extra), b)
+    assert abs(r1.value - r0.value) <= 2e-9 * max(1.0, r0.upper)
+
+
+@hyp.given(
+    shift=hys.lists(hys.floats(-10.0, 10.0), min_size=3, max_size=3),
+    angles=hys.lists(hys.floats(-math.pi, math.pi), min_size=2, max_size=2),
+    **_pairs,
+)
+@hyp.settings(max_examples=40, deadline=None)
+def test_distance_is_unchanged_by_a_rigid_motion(m, q, d, seed, shift, angles):
+    # moving both curves perturbs coordinates by rounding only, so the
+    # distance moves by the bracket width plus a few ulps of the scale:
+    # allowed 1e-8 * (1 + distance)
+    rng = np.random.default_rng(seed)
+    a, b = random_curve(rng, m, d), random_curve(rng, q, d)
+    motion = Motion(shift=tuple(shift[:d]), angles=tuple(angles[: d - 1]))
+
+    def moved(c):
+        return Curve([motion.transform(v) for v in c.vertices])
+
+    r0 = frechet_distance(a, b).value
+    r1 = frechet_distance(moved(a), moved(b)).value
+    assert abs(r1 - r0) <= 1e-8 * (1.0 + r0)
+
+
+@hyp.given(
+    lo=hys.floats(0.0, 1.5),
+    hi=hys.floats(0.0, 1.5),
+    **_pairs,
+)
+@hyp.settings(max_examples=60, deadline=None)
+def test_decision_is_monotone_in_delta(m, q, d, seed, lo, hi):
+    # thresholds are drawn relative to the discrete distance so that
+    # both sides of the continuous distance are hit
+    rng = np.random.default_rng(seed)
+    a, b = random_curve(rng, m, d), random_curve(rng, q, d)
+    lo, hi = sorted((lo, hi))
+    dd = discrete_frechet(a, b)
+    if frechet_decision(a, b, lo * dd):
+        assert frechet_decision(a, b, hi * dd)

@@ -189,12 +189,8 @@ def test_sandwich_fast_and_generic_paths_agree():
     M = PairwiseFrechet(list(T)).values()
     idx_cands = [(0, 3), (1, 4), (2, 5)]
     curve_cands = [[T[i] for i in c] for c in idx_cands]
-    fast = coreset_sandwich_check(
-        T, core, 0.5, idx_cands, "median", distances=M, keep_records=True
-    )
-    slow = coreset_sandwich_check(
-        T, core, 0.5, curve_cands, "median", keep_records=True
-    )
+    fast = coreset_sandwich_check(T, core, 0.5, idx_cands, "median", distances=M)
+    slow = coreset_sandwich_check(T, core, 0.5, curve_cands, "median")
     for a, b in zip(fast.records, slow.records):
         assert a["full"] == pytest.approx(b["full"], abs=1e-9)
         assert a["coreset"] == pytest.approx(b["coreset"], abs=1e-9)
@@ -242,6 +238,19 @@ def test_sandwich_rejects_unknown_kind():
     core = WeightedCoreset([seg], np.ones(1), 0.5, {"member_indices": [0]})
     with pytest.raises(ValueError):
         coreset_sandwich_check([seg], core, 0.5, [(0,)], "means")
+
+
+def test_sandwich_rejects_out_of_range_eps_and_empty_candidates():
+    # an eps of 100 would bracket almost any coreset cost, and no
+    # candidates at all would pass without checking anything
+    seg = Curve([[0.0, 0.0], [1.0, 0.0]])
+    core = WeightedCoreset([seg], np.ones(1), 0.5, {"member_indices": [0]})
+    for eps in (0.0, 1.0, 100.0, -0.5):
+        with pytest.raises(ValueError, match="eps"):
+            coreset_sandwich_check([seg], core, eps, [(0,)])
+    for cands in ([], [()]):
+        with pytest.raises(ValueError, match="candidate"):
+            coreset_sandwich_check([seg], core, 0.5, cands)
 
 
 def test_means_counterexample_costs():
