@@ -320,6 +320,8 @@ def _parse_candidates(choice: str, n: int, k: int, seed, guard_n: int):
             raise CliError("candidate count must be positive")
         if seed is None:
             raise CliError("random candidates need --seed")
+        if not 1 <= k <= n:
+            raise CliError(f"random candidates need --k in 1..{n}, got {k}")
         return random_center_subsets(n, k, count, seed)
     raise CliError(f"unknown candidate choice {choice!r}")
 

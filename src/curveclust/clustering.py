@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Curve
-from .frechet import frechet_distance, simplify
+from .frechet import _vertex_array, frechet_distance, simplify
 
 __all__ = [
     "Objective",
@@ -81,12 +81,20 @@ class PairwiseFrechet:
     0 without a solve. Solved entries live in per-column arrays of the
     distance and its certified upper bound, two floats for each of the
     n rows rather than one object per pair.
+
+    Two segments are at the larger of their two endpoint distances
+    (Alt and Godau 1995), so when position j is a two-vertex curve its
+    two-vertex rows are filled in closed form, one numpy expression per
+    column, with the very bits ``frechet_distance`` would report.
     """
 
     def __init__(self, curves):
         self.curves = list(curves)
         self.n = len(self.curves)
         self._cols: dict[int, np.ndarray] = {}
+        # per dimension d: which rows are two-vertex curves in d, and
+        # their vertices stacked (n, 2, d)
+        self._segments: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, curve) -> int:
         """Append a column-only curve and return its position."""
@@ -116,12 +124,54 @@ class PairwiseFrechet:
         if j < self.n and i in self._cols:
             self._cols[i][:, j] = r.value, r.upper
 
+    def _segment_rows(self, d: int):
+        seg = self._segments.get(d)
+        if seg is None:
+            is_seg = np.zeros(self.n, dtype=bool)
+            V = np.zeros((self.n, 2, d))
+            for i, c in enumerate(self.curves[: self.n]):
+                v = _vertex_array(c)
+                if v.shape == (2, d):
+                    is_seg[i] = True
+                    V[i] = v
+            seg = self._segments[d] = (is_seg, V)
+        return seg
+
+    def _fill_segments(self, j: int, rows: np.ndarray) -> np.ndarray:
+        """Fill the two-vertex ``rows`` of segment column ``j``; return the others."""
+        Q = _vertex_array(self.curves[j])
+        if Q.shape[0] != 2:
+            return rows
+        is_seg, V = self._segment_rows(Q.shape[1])
+        seg = rows[is_seg[rows]]
+        if not len(seg):
+            return rows
+        S = V[seg] - Q
+        # frechet_distance brackets a segment pair by [max endpoint
+        # distance, discrete distance], taking the first as a dot
+        # product and the second as a summed norm; both are repeated
+        # here so that every bit agrees
+        flat = S.reshape(-1, Q.shape[1])
+        lower = np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(-1, 2).max(axis=1))
+        upper = np.maximum(np.linalg.norm(S, axis=-1).max(axis=1), lower)
+        col = self._cols[j]
+        col[0, seg] = 0.5 * (lower + upper)
+        col[1, seg] = upper
+        if j < self.n:
+            for i in seg.tolist():
+                other = self._cols.get(i)
+                if other is not None:
+                    other[:, j] = col[:, i]
+        return rows[~is_seg[rows]]
+
     def column(self, j: int, rows) -> np.ndarray:
         """Distances from ``rows`` to position ``j``, solving missing ones in row order."""
         rows = np.asarray(rows, dtype=int)
         col = self._column(j)
-        for i in rows[np.isnan(col[0, rows])]:
-            self._solve(int(i), j)
+        missing = rows[np.isnan(col[0, rows])]
+        if len(missing):
+            for i in self._fill_segments(j, missing):
+                self._solve(int(i), j)
         return col[0, rows]
 
     def values(self) -> np.ndarray:

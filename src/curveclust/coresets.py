@@ -296,14 +296,18 @@ def sampling_distribution(T, k: int) -> SamplingDistribution:
     )
 
 
-def sample_size(n: int, k: int, eps: float, rho: float = 1.0 / 3.0) -> int:
-    """Number of draws that makes the sampled cost reliable for every candidate."""
-    if n < 2:
-        raise ValueError("need at least two curves")
+def _check_accuracy(eps: float, rho: float):
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0, 1)")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
+
+
+def sample_size(n: int, k: int, eps: float, rho: float = 1.0 / 3.0) -> int:
+    """Number of draws that makes the sampled cost reliable for every candidate."""
+    if n < 2:
+        raise ValueError("need at least two curves")
+    _check_accuracy(eps, rho)
     return math.ceil(
         640.0 * (-math.log(rho) + math.log(2.0)) * k * k * math.log(n) / (eps * eps)
     )
@@ -336,6 +340,7 @@ def median_coreset(
     probability at least 1 - ``rho`` the relative error is below
     ``eps`` for every candidate set of k input curves.
     """
+    _check_accuracy(eps, rho)
     curves = list(T)
     n = len(curves)
     dist = sampling_distribution(curves, k)

@@ -207,6 +207,8 @@ def all_center_subsets(n: int, k: int, limit: int | None = None):
 
 def random_center_subsets(n: int, k: int, count: int, seed) -> list[tuple]:
     """Seeded sample of sorted k-subsets; repeats across draws are possible."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
     rng = np.random.default_rng(seed)
     return [tuple(sorted(rng.choice(n, size=k, replace=False))) for _ in range(count)]
 

@@ -262,6 +262,20 @@ def test_verify_rejects_out_of_range_epsilon_and_k(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err
 
 
+def test_verify_random_rejects_k_above_the_input_size(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    assert run(["gen", "--seed", 16, "--clusters", 2, "--per-cluster", 3,
+                "--output", fam]) == EXIT_OK
+    core = tmp_path / "core.json"
+    assert run(["coreset", "--input", fam, "--variant", "center-segments",
+                "--epsilon", 0.5, "--k", 2, "--output", core]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["verify", "--input", fam, "--coreset", core, "--k", 99,
+                "--candidates", "random:3", "--seed", 1]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--k" in err and "99" in err
+
+
 def test_bench_emits_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--variant", "center-segments", "--sizes", "20,40",

@@ -1,3 +1,5 @@
+import hypothesis as hyp
+import hypothesis.strategies as hys
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from curveclust.clustering import (
     k_median_approx,
     kl_center_approx,
 )
+from curveclust.frechet import frechet_distance
 from curveclust.oracle import (
     brute_force_discrete_center,
     brute_force_discrete_median,
+    subdivided_frechet_bounds,
 )
 
 from util import clustered_segments, random_curve, random_segments
@@ -69,9 +73,10 @@ def test_pairwise_table():
 
 def test_pairwise_table_solves_each_pair_once(monkeypatch):
     # partly filled columns must share entries both ways, so no pair is
-    # solved twice, and every solve takes the lower position first
+    # solved twice, and every solve takes the lower position first; three
+    # vertices keep these pairs off the closed-form segment path
     rng = np.random.default_rng(3)
-    curves = random_segments(rng, 6, 2)
+    curves = [random_curve(rng, 3, 2) for _ in range(6)]
     position = {id(c): i for i, c in enumerate(curves)}
     solved = []
     real = clustering_module.frechet_distance
@@ -86,6 +91,98 @@ def test_pairwise_table_solves_each_pair_once(monkeypatch):
     tb.column(2, range(6))
     M = tb.values()
     assert sorted(solved) == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert np.array_equal(M, M.T)
+
+
+def test_pairwise_table_fills_each_segment_pair_once(monkeypatch):
+    # the segment twin of the test above: segment pairs are filled in
+    # closed form, a column at a time, and never solved one by one
+    rng = np.random.default_rng(3)
+    curves = random_segments(rng, 6, 2)
+    filled = []
+    real = PairwiseFrechet._fill_segments
+
+    def counted(self, j, rows):
+        filled.extend((min(i, j), max(i, j)) for i in rows.tolist())
+        return real(self, j, rows)
+
+    def unexpected(a, b):
+        raise AssertionError("a segment pair went through frechet_distance")
+
+    monkeypatch.setattr(PairwiseFrechet, "_fill_segments", counted)
+    monkeypatch.setattr(clustering_module, "frechet_distance", unexpected)
+    tb = PairwiseFrechet(curves)
+    tb.column(4, [0, 1])
+    tb.column(2, range(6))
+    M = tb.values()
+    assert sorted(filled) == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert np.array_equal(M, M.T)
+
+
+def _assert_entries_are_frechet_distance(tb, cols, rows):
+    # every entry, whichever path filled it, carries the bits of
+    # frechet_distance on (lower position, higher position)
+    for j in cols:
+        _, value, upper = tb.nearest([j], rows)
+        for i, v, u in zip(rows, value.tolist(), upper.tolist()):
+            if i == j:
+                assert (v, u) == (0.0, 0.0)
+                continue
+            r = frechet_distance(tb.curves[min(i, j)], tb.curves[max(i, j)])
+            assert (v, u) == (r.value, r.upper)
+
+
+@hyp.given(
+    n=hys.integers(2, 5),
+    added=hys.integers(0, 2),
+    d=hys.integers(1, 3),
+    seed=hys.integers(0, 2**32 - 1),
+)
+@hyp.settings(max_examples=30, deadline=None)
+def test_segment_entries_match_frechet_distance_and_the_reference(n, added, d, seed):
+    rng = np.random.default_rng(seed)
+    curves = random_segments(rng, n, d, scale=1.0)
+    tb = PairwiseFrechet(curves)
+    cols = [tb.add(c) for c in random_segments(rng, added, d, scale=1.0)]
+    rows = list(range(n))
+    # a few row columns first, in random order, so later columns start
+    # from entries mirrored into them
+    for j in rng.permutation(n)[: n // 2].tolist():
+        tb.column(j, rows[: j + 1])
+    M = tb.values()
+    assert np.array_equal(M, M.T)
+    _assert_entries_are_frechet_distance(tb, rows + cols, rows)
+    # the subdivided discrete distance shares no code with the closed form
+    for j in rows + cols:
+        for i in rows:
+            if i != j:
+                lo, hi = subdivided_frechet_bounds(tb.curves[i], tb.curves[j], 0.05)
+                v = tb.column(j, [i])[0]
+                assert lo - 1e-9 <= v <= hi + 1e-9
+
+
+def test_mixed_column_fills_segments_and_solves_the_rest(monkeypatch):
+    # segment and three-vertex rows against a segment column: both paths
+    # fill one column, and only the three-vertex rows are solved one by one
+    rng = np.random.default_rng(4)
+    curves = [random_curve(rng, 2 if i % 2 else 3, 2) for i in range(6)]
+    lengths = []
+    real = clustering_module.frechet_distance
+
+    def counted(a, b):
+        lengths.append(sorted((len(a), len(b))))
+        return real(a, b)
+
+    monkeypatch.setattr(clustering_module, "frechet_distance", counted)
+    tb = PairwiseFrechet(curves)
+    added = tb.add(random_curve(rng, 2, 2))
+    rows = list(range(6))
+    tb.column(added, rows)
+    tb.column(3, rows)
+    assert lengths == [[2, 3]] * 6
+    monkeypatch.setattr(clustering_module, "frechet_distance", real)
+    _assert_entries_are_frechet_distance(tb, [added, 3, 1, 0], rows)
+    M = tb.values()
     assert np.array_equal(M, M.T)
 
 

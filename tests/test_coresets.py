@@ -293,6 +293,15 @@ def test_median_coreset_degenerate_single_member():
     assert core.weights[0] == 8.0
 
 
+def test_median_coreset_checks_eps_and_rho_on_degenerate_input():
+    # the degenerate family skips sampling, yet its coreset carries eps
+    seg = Curve([[0.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+        median_coreset([seg] * 4, 5.0, 1)
+    with pytest.raises(ValueError, match=r"rho must be in \(0, 1\)"):
+        median_coreset([seg] * 4, 0.5, 1, rho=0.0)
+
+
 def test_median_coreset_estimates_cost():
     rng = np.random.default_rng(55)
     cs = clustered_segments(rng, 14, 2, 2, jitter=1.0)

@@ -19,7 +19,7 @@ from curveclust.oracle import (
     random_center_subsets,
 )
 from curveclust.coresets import WeightedCoreset
-from curveclust.clustering import PairwiseFrechet
+from curveclust.clustering import PairwiseFrechet, cost
 
 from util import random_curve, random_segments
 
@@ -143,6 +143,12 @@ def test_random_center_subsets_shape_and_determinism():
         assert s == tuple(sorted(s))
 
 
+@pytest.mark.parametrize("k", [0, 11])
+def test_random_center_subsets_rejects_k_outside_the_input(k):
+    with pytest.raises(ValueError, match=f"got {k}"):
+        random_center_subsets(10, k, 5, 7)
+
+
 def _two_far_groups(rng, per_group=5, gap=100.0):
     near = [Curve(rng.normal(0.0, 0.5, (2, 2)), label=f"a{i}") for i in range(per_group)]
     far = [
@@ -198,9 +204,10 @@ def test_sandwich_fast_and_generic_paths_agree():
 
 def test_sandwich_solves_every_on_the_fly_candidate(monkeypatch):
     # each candidate is built and dropped in turn, so new curves reuse the
-    # ids of freed ones; a cache keyed by identity would return stale costs
+    # ids of freed ones; a cache keyed by identity would return stale costs.
+    # Three vertices keep these pairs off the closed-form segment path.
     rng = np.random.default_rng(72)
-    T = random_segments(rng, 5, 2)
+    T = [random_curve(rng, 3, 2) for _ in range(5)]
     core = WeightedCoreset(list(T), np.ones(5), 0.5, {"member_indices": list(range(5))})
     solves = []
     real = frechet_module.discrete_frechet
@@ -210,11 +217,31 @@ def test_sandwich_solves_every_on_the_fly_candidate(monkeypatch):
 
     def fresh():
         for _ in range(200):
-            yield [Curve(rng.normal(0.0, 5.0, (2, 2)))]
+            yield [Curve(rng.normal(0.0, 5.0, (3, 2)))]
 
     rep = coreset_sandwich_check(T, core, 0.5, fresh(), "median")
     assert rep.checked == 200
     assert len(solves) == 5 * 200
+
+
+def test_sandwich_costs_every_on_the_fly_segment_candidate():
+    # the segment twin of the test above: segment columns are filled in
+    # closed form, so the check is that every record carries the cost of
+    # its own candidate, recomputed on a fresh table
+    rng = np.random.default_rng(72)
+    T = random_segments(rng, 5, 2)
+    core = WeightedCoreset(list(T), np.ones(5), 0.5, {"member_indices": list(range(5))})
+
+    def fresh():
+        for _ in range(200):
+            yield [Curve(rng.normal(0.0, 5.0, (2, 2)))]
+
+    rep = coreset_sandwich_check(T, core, 0.5, fresh(), "median")
+    assert rep.checked == 200
+    for rec in rep.records:
+        want = cost(T, list(rec["candidate"]), "median")
+        assert rec["full"] == want
+        assert rec["coreset"] == want
 
 
 def test_sandwich_measures_members_that_differ_from_their_inputs():
