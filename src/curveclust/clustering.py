@@ -12,6 +12,13 @@ bracket that ``frechet_distance`` certifies at its default tolerance.
 Every algorithm here is a constant-factor approximation, so a wobble
 of that size changes none of their guarantees. Ties go to the lowest
 index, which makes every outcome deterministic.
+
+All distances come from one ``PairwiseFrechet`` table per run, which
+solves whatever a request leaves missing as one batch, bisecting all
+pairs of a shape in lockstep with the bits ``frechet_distance`` would
+give one pair. So each caller asks for a whole round at once: every
+farthest-first round reads all its centers in one ``nearest`` call,
+and the local search reads the whole matrix from ``values``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import Curve
-from .frechet import _vertex_array, frechet_distance, simplify
+from .frechet import _check_pair, _frechet_batch, _vertex_array, simplify
 
 __all__ = [
     "Objective",
@@ -34,6 +41,12 @@ __all__ = [
 ]
 
 KINDS = ("center", "median", "means")
+
+# free-space boundaries one lockstep solve holds, pairs times boundaries
+# per pair: each per-round temporary stays near 128 KiB. Two segments
+# have the fewest boundaries, four, so a fill step takes at most a
+# quarter as many table entries.
+_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -70,116 +83,175 @@ class Clustering:
     meta: dict = field(default_factory=dict)
 
 
+def _distinct(idx: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``idx``, all in 0..size-1, in ascending order."""
+    seen = np.zeros(size, dtype=bool)
+    seen[idx] = True
+    return np.flatnonzero(seen)
+
+
 class PairwiseFrechet:
     """Lazily solved distance table over curve positions.
 
     The rows are the n curves given to the constructor, at positions
     0..n-1; ``add`` appends a further curve (a summarized center, a
-    candidate) as a column-only position and returns it. An entry is
-    solved on first access, always as (lower position, higher
-    position), so each unordered pair is solved once; the diagonal is
-    0 without a solve. Solved entries live in per-column arrays of the
-    distance and its certified upper bound, two floats for each of the
-    n rows rather than one object per pair.
+    candidate) as a column-only position and returns it. Entries are
+    solved on request, a batch at a time: ``fill`` takes every missing
+    entry of the columns and rows it is given, and ``column``,
+    ``nearest`` and ``values`` fill before they read, so callers should
+    ask for as much as they can at once. Each unordered pair is solved
+    once, as (lower position, higher position), and kept in both
+    columns where both exist; the diagonal is 0 without a solve. Every
+    column stores the distance and its certified upper bound for each
+    of the n rows.
 
-    Two segments are at the larger of their two endpoint distances
-    (Alt and Godau 1995), so when position j is a two-vertex curve its
-    two-vertex rows are filled in closed form, one numpy expression per
-    column, with the very bits ``frechet_distance`` would report.
+    A batch is grouped by the shapes of its pairs and each group goes
+    through one lockstep bisection that carries the very bits
+    ``frechet_distance`` would report. Two segments are at the larger of
+    their two endpoint distances (Alt and Godau 1995), so their starting
+    bracket is already closed and they take no bisection step.
+
+    ``stats`` counts entries filled from the starting bracket alone
+    (``closed_form``) and by bisection (``bisected``), the threshold
+    decisions those took (``decisions``, one per pair and step) and the
+    lockstep steps (``rounds``).
     """
 
     def __init__(self, curves):
         self.curves = list(curves)
         self.n = len(self.curves)
-        self._cols: dict[int, np.ndarray] = {}
-        # per dimension d: which rows are two-vertex curves in d, and
-        # their vertices stacked (n, 2, d)
-        self._segments: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # entry (row i, column position j) is _store[:, _slot[j], i]: the
+        # value and the upper bound, NaN while unsolved; -1 is no column
+        self._store = np.empty((2, 0, self.n))
+        self._slot = np.full(self.n, -1)
+        self._used = 0
+        # per position: the id of its shape, -1 until its first solve, and
+        # its place in the stack of that shape's vertices
+        self._sid = np.full(self.n, -1)
+        self._place = np.zeros(self.n, dtype=int)
+        self._shapes: dict = {}
+        self._stacks: list = []
+        self.stats = dict.fromkeys(("closed_form", "bisected", "decisions", "rounds"), 0)
 
     def add(self, curve) -> int:
         """Append a column-only curve and return its position."""
         self.curves.append(curve)
+        self._slot = np.append(self._slot, -1)
+        self._sid = np.append(self._sid, -1)
+        self._place = np.append(self._place, 0)
         return len(self.curves) - 1
 
-    def _column(self, j: int) -> np.ndarray:
-        # column j stacks value and upper bound (NaN while unsolved) per row
-        col = self._cols.get(j)
-        if col is not None:
-            return col
-        col = np.full((2, self.n), np.nan)
-        if j < self.n:
-            # entries already solved from the other end of the pair
-            for i in range(self.n):
-                other = self._cols.get(i)
-                if other is not None:
-                    col[:, i] = other[:, j]
-            col[:, j] = 0.0
-        self._cols[j] = col
-        return col
+    def _columns(self, cols: np.ndarray) -> np.ndarray:
+        """Slots of the distinct positions ``cols``, creating the columns they lack."""
+        new = cols[self._slot[cols] < 0]
+        if len(new):
+            used = self._used + len(new)
+            if used > self._store.shape[1]:
+                grown = np.empty((2, max(used, 2 * self._store.shape[1]), self.n))
+                grown[:, : self._used] = self._store[:, : self._used]
+                self._store = grown
+            S = self._store
+            S[:, self._used : used] = np.nan
+            old = np.flatnonzero(self._slot[: self.n] >= 0)
+            self._slot[new] = np.arange(self._used, used)
+            self._used = used
+            new = new[new < self.n]
+            # a new row column takes the entries solved from the other end
+            S[:, self._slot[new][:, None], old] = S[:, self._slot[old][:, None], new].transpose(0, 2, 1)
+            S[:, self._slot[new], new] = 0.0
+        return self._slot[cols]
 
-    def _solve(self, i: int, j: int):
-        a, b = (i, j) if i < j else (j, i)
-        r = frechet_distance(self.curves[a], self.curves[b])
-        self._cols[j][:, i] = r.value, r.upper
-        if j < self.n and i in self._cols:
-            self._cols[i][:, j] = r.value, r.upper
+    def fill(self, cols, rows):
+        """Solve every missing entry of columns ``cols`` at ``rows``.
 
-    def _segment_rows(self, d: int):
-        seg = self._segments.get(d)
-        if seg is None:
-            is_seg = np.zeros(self.n, dtype=bool)
-            V = np.zeros((self.n, 2, d))
-            for i, c in enumerate(self.curves[: self.n]):
-                v = _vertex_array(c)
-                if v.shape == (2, d):
-                    is_seg[i] = True
-                    V[i] = v
-            seg = self._segments[d] = (is_seg, V)
-        return seg
+        The columns are taken in blocks of at most ``_BATCH // 4``
+        entries, and the missing entries of a block are solved together.
+        """
+        cols, rows = np.asarray(cols, dtype=int), np.asarray(rows, dtype=int)
+        slots = self._slot[cols]
+        if (slots >= 0).all() and not np.isnan(self._store[0][slots[:, None], rows]).any():
+            return
+        cols = _distinct(cols, len(self.curves))
+        rows = _distinct(rows, self.n)
+        slots = self._columns(cols)
+        missing = np.isnan(self._store[0][slots[:, None], rows])
+        # an entry requested from both ends of its pair is solved once: at
+        # the end whose row is the lower position, whichever block that is
+        asked = np.zeros((2, len(self.curves)), dtype=bool)
+        asked[0, rows] = True
+        asked[1, cols] = True
+        step = max(1, _BATCH // 4 // max(1, len(rows)))
+        for k in range(0, len(cols), step):
+            j, i = np.nonzero(missing[k : k + step])
+            i, j = rows[i], cols[k + j]
+            once = (i < j) | ~(asked[0, j] & asked[1, i])
+            i, j = i[once], j[once]
+            if not len(i):
+                continue
+            entry = self._solve(np.minimum(i, j), np.maximum(i, j))
+            self._store[:, self._slot[j], i] = entry
+            # and from the other end, where that is a row with a column
+            mirror = (j < self.n) & (self._slot[i] >= 0)
+            self._store[:, self._slot[i[mirror]], j[mirror]] = entry[:, mirror]
 
-    def _fill_segments(self, j: int, rows: np.ndarray) -> np.ndarray:
-        """Fill the two-vertex ``rows`` of segment column ``j``; return the others."""
-        Q = _vertex_array(self.curves[j])
-        if Q.shape[0] != 2:
-            return rows
-        is_seg, V = self._segment_rows(Q.shape[1])
-        seg = rows[is_seg[rows]]
-        if not len(seg):
-            return rows
-        S = V[seg] - Q
-        # frechet_distance brackets a segment pair by [max endpoint
-        # distance, discrete distance], taking the first as a dot
-        # product and the second as a summed norm; both are repeated
-        # here so that every bit agrees
-        flat = S.reshape(-1, Q.shape[1])
-        lower = np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(-1, 2).max(axis=1))
-        upper = np.maximum(np.linalg.norm(S, axis=-1).max(axis=1), lower)
-        col = self._cols[j]
-        col[0, seg] = 0.5 * (lower + upper)
-        col[1, seg] = upper
-        if j < self.n:
-            for i in seg.tolist():
-                other = self._cols.get(i)
-                if other is not None:
-                    other[:, j] = col[:, i]
-        return rows[~is_seg[rows]]
+    def _register(self, new: np.ndarray):
+        """Stack the vertices of positions ``new`` with those of their shape."""
+        verts = [_vertex_array(self.curves[x]) for x in new.tolist()]
+        shapes = [v.shape for v in verts]
+        for shape in dict.fromkeys(shapes):
+            s = self._shapes.setdefault(shape, len(self._shapes))
+            if s == len(self._stacks):
+                self._stacks.append(np.empty((0,) + shape))
+            take = [k for k, other in enumerate(shapes) if other == shape]
+            self._sid[new[take]] = s
+            self._place[new[take]] = len(self._stacks[s]) + np.arange(len(take))
+            block = np.concatenate([verts[k] for k in take]).reshape((-1,) + shape)
+            self._stacks[s] = np.concatenate([self._stacks[s], block])
+
+    def _solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Value and upper bound of each pair (a, b), one batch per shape pair."""
+        new = np.concatenate([a, b])
+        new = new[self._sid[new] < 0]
+        if len(new):
+            self._register(_distinct(new, len(self.curves)))
+        shapes, sid, place = len(self._shapes), self._sid, self._place
+        group = sid[a] * shapes + sid[b]
+        entry = np.empty((2, len(a)))
+        for g in np.flatnonzero(np.bincount(group)):
+            P, Q = self._stacks[g // shapes], self._stacks[g % shapes]
+            _check_pair(P[0], Q[0])
+            p, q = len(P[0]), len(Q[0])
+            sel = np.flatnonzero(group == g)
+            step = max(1, _BATCH // (p * (q - 1) + (p - 1) * q))
+            for k in range(0, len(sel), step):
+                part = sel[k : k + step]
+                value, upper, steps = _frechet_batch(P[place[a[part]]], Q[place[b[part]]])
+                entry[0, part], entry[1, part] = value, upper
+                bisected = int(np.count_nonzero(steps))
+                self.stats["closed_form"] += len(steps) - bisected
+                self.stats["bisected"] += bisected
+                self.stats["decisions"] += int(steps.sum())
+                self.stats["rounds"] += int(steps.max())
+        return entry
 
     def column(self, j: int, rows) -> np.ndarray:
-        """Distances from ``rows`` to position ``j``, solving missing ones in row order."""
+        """Distances from ``rows`` to position ``j``, solving missing ones first."""
         rows = np.asarray(rows, dtype=int)
-        col = self._column(j)
-        missing = rows[np.isnan(col[0, rows])]
-        if len(missing):
-            for i in self._fill_segments(j, missing):
-                self._solve(int(i), j)
-        return col[0, rows]
+        self.fill([j], rows)
+        return self._store[0, self._slot[j], rows]
 
     def values(self) -> np.ndarray:
         """The input-by-input distance matrix."""
-        M = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            M[:, j] = self.column(j, range(self.n))
-        return M
+        slots = self._columns(np.arange(self.n))
+        M = self._store[:, slots]
+        # missing entries come in mirrored pairs: solve those above the
+        # diagonal, then take each over its NaN mirror
+        a, b = np.nonzero(np.isnan(np.triu(M[0], 1)))
+        if len(a):
+            M[:, a, b] = self._solve(a, b)
+            M = np.fmin(M, M.transpose(0, 2, 1))
+            self._store[:, slots] = M
+        return M[0].T.copy()
 
     def nearest(self, cols, rows):
         """Nearest of ``cols`` to each of ``rows``, ties to the lowest index.
@@ -188,14 +260,13 @@ class PairwiseFrechet:
         the nearest position, that entry's distance and its certified
         upper bound.
         """
-        if not cols:
+        if not len(cols):
             raise ValueError("no centers given")
-        rows = np.asarray(rows, dtype=int)
-        for j in cols:
-            self.column(j, rows)
-        E = np.stack([self._cols[j][:, rows] for j in cols])
-        near = E[:, 0].argmin(axis=0)
-        value, upper = E[near, :, np.arange(len(rows))].T
+        cols, rows = np.asarray(cols, dtype=int), np.asarray(rows, dtype=int)
+        self.fill(cols, rows)
+        E = self._store[:, self._slot[cols][:, None], rows]
+        near = E[0].argmin(axis=0)
+        value, upper = E[:, near, np.arange(len(rows))]
         return near, value, upper
 
 

@@ -196,8 +196,8 @@ def frechet_decision(t, s, delta: float) -> bool:
 
     Exact up to floating rounding; no tolerance parameter is involved.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be nonnegative, got {delta!r}")
     P, Q = _vertex_array(t), _vertex_array(s)
     _check_pair(P, Q)
     return _FreeSpace(P, Q).decide(delta)
@@ -210,8 +210,8 @@ def frechet_distance(t, s, rel_tol: float = DEFAULT_REL_TOL) -> FrechetResult:
     distance] and halves it until the width drops below
     ``rel_tol * max(1, upper)``. The reported value is the midpoint.
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol!r}")
     P, Q = _vertex_array(t), _vertex_array(s)
     _check_pair(P, Q)
     lb = max(
@@ -234,6 +234,169 @@ def frechet_distance(t, s, rel_tol: float = DEFAULT_REL_TOL) -> FrechetResult:
             if ub - lb <= rel_tol * max(1.0, ub):
                 break
     return FrechetResult(0.5 * (lb + ub), lb, ub, rel_tol)
+
+
+def _endpoint_bound(S: np.ndarray) -> np.ndarray:
+    """Larger endpoint distance per pair, from (B, 2, d) endpoint differences.
+
+    Each squared norm is one dot product, as ``np.linalg.norm`` takes it
+    for a vector, so every bound has the bits of ``frechet_distance``'s.
+    """
+    flat = S.reshape(-1, S.shape[-1])
+    dot = (flat[:, None, :] @ flat[:, :, None]).reshape(-1, 2)
+    return np.sqrt(np.maximum(dot[:, 0], dot[:, 1]))
+
+
+def _discrete_batch(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``discrete_frechet`` over B pairs of one shape, one cell at a time."""
+    # pair axis last; each cell's distance is overwritten by its table entry
+    P, Q = P.transpose(1, 0, 2), Q.transpose(1, 0, 2)
+    ca = np.linalg.norm(P[:, None] - Q[None], axis=-1)
+    for j in range(1, ca.shape[1]):
+        np.maximum(ca[0, j - 1], ca[0, j], out=ca[0, j])
+    for i in range(1, len(ca)):
+        row, prev = ca[i], ca[i - 1]
+        np.maximum(prev[0], row[0], out=row[0])
+        for j in range(1, len(row)):
+            reach = np.minimum(np.minimum(prev[j], prev[j - 1]), row[j - 1])
+            np.maximum(reach, row[j], out=row[j])
+    return ca[-1, -1]
+
+
+def _sweep_order(p: int, q: int) -> np.ndarray:
+    """The free-space boundaries of a p-by-q pair in the order of the sweep.
+
+    Boundaries are numbered as in ``_FreeSpace``: the p(q-1) vertical
+    ones (vertex i of P against edge j of Q) row by row, then the
+    (p-1)q horizontal ones. The order starts with the bottom row of
+    vertical and the left column of horizontal boundaries, then takes
+    the cells one anti-diagonal at a time, each diagonal's top
+    boundaries and then its right ones, both by ascending i.
+    """
+    V = np.arange(p * (q - 1)).reshape(p, q - 1)
+    H = p * (q - 1) + np.arange((p - 1) * q).reshape(p - 1, q)
+    order = [V[0], H[:, 0]]
+    for s in range(p + q - 3):
+        i = np.arange(max(0, s - q + 2), min(s, p - 2) + 1)
+        order += [V[i + 1, s - i], H[i, s - i + 1]]
+    return np.concatenate(order)
+
+
+def _boundary_coefficients(P: np.ndarray, Q: np.ndarray):
+    """``_FreeSpace``'s quadratic coefficients for B pairs, (K, B) in sweep order.
+
+    The einsum reductions run over the same contiguous last axis as in
+    ``_FreeSpace`` and so give the same bits.
+    """
+    B, p, _ = P.shape
+    q = Q.shape[1]
+    QU = Q[:, 1:] - Q[:, :-1]
+    PU = P[:, 1:] - P[:, :-1]
+    VD = P[:, :, None, :] - Q[:, None, :-1, :]
+    HD = Q[:, None, :, :] - P[:, :-1, None, :]
+    va = np.broadcast_to(np.einsum("bjd,bjd->bj", QU, QU)[:, None, :], (B, p, q - 1))
+    ha = np.broadcast_to(np.einsum("bid,bid->bi", PU, PU)[:, :, None], (B, p - 1, q))
+    parts = (
+        (va, ha),
+        (np.einsum("bpjd,bjd->bpj", VD, QU), np.einsum("bid,bijd->bij", PU, HD)),
+        (np.einsum("bpjd,bpjd->bpj", VD, VD), np.einsum("bijd,bijd->bij", HD, HD)),
+    )
+    order = _sweep_order(p, q)
+    return [
+        np.concatenate([v.reshape(B, -1), h.reshape(B, -1)], axis=1).T[order]
+        for v, h in parts
+    ]
+
+
+def _reaches_end(lo: np.ndarray, hi: np.ndarray, p: int, q: int) -> np.ndarray:
+    """``_FreeSpace.decide``'s cell sweep for free intervals in sweep order.
+
+    ``lo`` and ``hi`` are (K, B), ordered as ``_sweep_order`` gives.
+    A boundary's reachable part always ends where its free interval
+    ends, so it is kept as its lower end alone, inf where nothing of
+    it is reachable. The cells of one anti-diagonal depend only on
+    the diagonal before, so each diagonal is one step over all of them.
+    """
+    inf = np.inf
+    # the bottom row and the left column, reachable straight from the
+    # start corner while the boundaries before them are free throughout
+    starts = []
+    for first, count in ((0, q - 1), (q - 1, p - 1)):
+        ok = np.logical_and.accumulate(lo[first : first + count] <= 0.0, axis=0)
+        ok[1:] &= np.logical_and.accumulate(hi[first : first + count - 1] >= 1.0, axis=0)
+        starts.append(np.where(ok, 0.0, inf))
+    row, col = starts
+    k = p + q - 2
+    for s in range(p + q - 3):
+        i0, i1 = max(0, s - q + 2), min(s, p - 2)
+        c = i1 - i0 + 1
+        if s == 0:
+            left, bottom = row[:1], col[:1]
+        else:
+            # a cell's left boundary is the top of the cell below it on
+            # the diagonal before, its bottom the right of the one beside
+            j0 = max(0, s - q + 1)
+            left = tops[max(i0, 1) - 1 - j0 : i1 - j0]
+            bottom = rights[i0 - j0 : min(i1, s - 1) - j0 + 1]
+            if i0 == 0:
+                left = np.concatenate([row[s : s + 1], left])
+            if i1 == s:
+                bottom = np.concatenate([bottom, col[s : s + 1]])
+        # entered from below, the top is free from its start; entered
+        # from the left only, no lower than where the left was entered
+        top_lo, right_lo = lo[k : k + c], lo[k + c : k + 2 * c]
+        top = np.where(bottom < inf, top_lo, np.maximum(left, top_lo))
+        right = np.where(left < inf, right_lo, np.maximum(bottom, right_lo))
+        tops = np.where(top <= hi[k : k + c], top, inf)
+        rights = np.where(right <= hi[k + c : k + 2 * c], right, inf)
+        k += 2 * c
+    # the last cell's top and right boundaries meet the end corner
+    return ((tops[0] < inf) & (hi[-2] == 1.0)) | ((rights[0] < inf) & (hi[-1] == 1.0))
+
+
+def _frechet_batch(P: np.ndarray, Q: np.ndarray, rel_tol: float = DEFAULT_REL_TOL):
+    """``frechet_distance`` over B pairs of one shape, bisected in lockstep.
+
+    ``P`` is (B, p, d) and ``Q`` is (B, q, d). Every pair starts from
+    the same bracket as in ``frechet_distance``, sees the same midpoints
+    in the same order and retires under the same rules, so its value
+    and upper bound carry the same bits. Each round decides all pending
+    pairs with one interval solve and one cell sweep. Returns the
+    values, the upper bounds and the number of threshold decisions
+    each pair took.
+    """
+    p, q = P.shape[1], Q.shape[1]
+    S = P[:, :: p - 1] - Q[:, :: q - 1]  # first and last vertices
+    lb = _endpoint_bound(S)
+    if p == q == 2:
+        # two segments: the coupling bound is the larger endpoint distance too
+        ub = np.linalg.norm(S, axis=-1)
+        ub = np.maximum(ub[:, 0], ub[:, 1])
+    else:
+        ub = _discrete_batch(P, Q)
+    ub = np.maximum(ub, lb)  # rounding can put it below by ulps
+    steps = np.zeros(len(P), dtype=int)
+    live = np.flatnonzero(ub - lb > rel_tol * np.maximum(1.0, ub))
+    coef = _boundary_coefficients(P[live], Q[live]) if len(live) else None
+    for _ in range(200):
+        if not len(live):
+            break
+        lo, hi = lb[live], ub[live]
+        mid = 0.5 * (lo + hi)
+        keep = (mid > lo) & (mid < hi)  # else exhausted at float resolution
+        if not keep.all():
+            live, mid, coef = live[keep], mid[keep], [c[:, keep] for c in coef]
+            if not len(live):
+                break
+        yes = _reaches_end(*_FreeSpace._intervals(*coef, mid * mid), p, q)
+        steps[live] += 1
+        ub[live[yes]] = mid[yes]
+        lb[live[~yes]] = mid[~yes]
+        hi = ub[live]
+        keep = hi - lb[live] > rel_tol * np.maximum(1.0, hi)
+        if not keep.all():
+            live, coef = live[keep], [c[:, keep] for c in coef]
+    return 0.5 * (lb + ub), ub, steps
 
 
 def simplify(curve: Curve, l: int) -> Curve:

@@ -266,16 +266,26 @@ def coreset_sandwich_check(
             member_rows.append(n + len(differing))
             differing.append(member)
     table = PairwiseFrechet(curves + differing)
+    candidates = [tuple(cand) for cand in candidates]
+    if not candidates:
+        raise ValueError("no candidate center sets to check")
+    if not all(candidates):
+        raise ValueError("every candidate center set needs at least one center")
+    columns = [
+        [int(c) if isinstance(c, (int, np.integer)) else table.add(c) for c in cand]
+        for cand in candidates
+    ]
+    # every entry the loop reads is solved here, in as few batches as possible
+    given = set() if distances is None else {c for cols in columns for c in cols if c < n}
+    table.fill(sorted(given), range(n, table.n))
+    table.fill(sorted({c for cols in columns for c in cols} - given), range(table.n))
 
     def column(c):
-        if distances is not None and c < n:
+        if c in given:
             return np.concatenate([distances[:, c], table.column(c, range(n, table.n))])
         return table.column(c, range(table.n))
 
-    def candidate_costs(cand):
-        if not cand:
-            raise ValueError("every candidate center set needs at least one center")
-        cols = [int(c) if isinstance(c, (int, np.integer)) else table.add(c) for c in cand]
+    def candidate_costs(cols):
         near = np.min([column(c) for c in cols], axis=0)
         full_near = near[:n]
         core_near = near[member_rows]
@@ -287,8 +297,8 @@ def coreset_sandwich_check(
     worst = -math.inf
     violations = []
     records = []
-    for cand in candidates:
-        full, core = candidate_costs(tuple(cand))
+    for cand, cols in zip(candidates, columns):
+        full, core = candidate_costs(cols)
         lo = (1.0 - eps) * full
         hi = (1.0 + eps) * full
         slack = 1e-9 * max(1.0, full)
@@ -306,8 +316,6 @@ def coreset_sandwich_check(
         if not ok:
             violations.append(rec)
         records.append(rec)
-    if not records:
-        raise ValueError("no candidate center sets to check")
     return SandwichReport(
         checked=len(records),
         passed=not violations,

@@ -75,6 +75,16 @@ def test_dist_unknown_label_fails(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "0"])
+def test_dist_rejects_a_tolerance_that_is_not_positive_and_finite(tmp_path, capsys, rel_tol):
+    fam = tmp_path / "fam.json"
+    write_family(fam, CurveSet([Curve([[0.0], [1.0]]), Curve([[0.0], [2.0], [1.0]])]))
+    assert run(["dist", "--input", fam, "0", "1", "--rel-tol", rel_tol]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rel_tol" in captured.err
+
+
 def test_dist_missing_file_fails(tmp_path):
     assert run(["dist", "--input", tmp_path / "nope.json", "0", "1"]) == EXIT_INVALID
 

@@ -3,8 +3,7 @@ import hypothesis.strategies as hys
 import numpy as np
 import pytest
 
-import curveclust.clustering as clustering_module
-from curveclust import Curve, CurveSet, simplify
+from curveclust import Curve, CurveSet, pad_to_complexity, simplify
 from curveclust.clustering import (
     Clustering,
     Objective,
@@ -21,7 +20,7 @@ from curveclust.oracle import (
     subdivided_frechet_bounds,
 )
 
-from util import clustered_segments, random_curve, random_segments
+from util import clustered_segments, decide_calls, random_curve, random_segments
 
 
 def test_objective_validation():
@@ -71,51 +70,34 @@ def test_pairwise_table():
     assert np.all(np.diag(M) == 0.0)
 
 
-def test_pairwise_table_solves_each_pair_once(monkeypatch):
+def test_pairwise_table_solves_each_pair_once():
     # partly filled columns must share entries both ways, so no pair is
-    # solved twice, and every solve takes the lower position first; three
-    # vertices keep these pairs off the closed-form segment path
+    # solved twice; three vertices keep these pairs off the closed-form
+    # segment path
     rng = np.random.default_rng(3)
     curves = [random_curve(rng, 3, 2) for _ in range(6)]
-    position = {id(c): i for i, c in enumerate(curves)}
-    solved = []
-    real = clustering_module.frechet_distance
-
-    def counted(a, b):
-        solved.append((position[id(a)], position[id(b)]))
-        return real(a, b)
-
-    monkeypatch.setattr(clustering_module, "frechet_distance", counted)
     tb = PairwiseFrechet(curves)
     tb.column(4, [0, 1])
     tb.column(2, range(6))
     M = tb.values()
-    assert sorted(solved) == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert tb.stats["closed_form"] + tb.stats["bisected"] == len(pairs)
+    assert tb.stats["decisions"] == decide_calls([(curves[i], curves[j]) for i, j in pairs])
     assert np.array_equal(M, M.T)
+    _assert_entries_are_frechet_distance(tb, range(6), range(6))
 
 
-def test_pairwise_table_fills_each_segment_pair_once(monkeypatch):
-    # the segment twin of the test above: segment pairs are filled in
-    # closed form, a column at a time, and never solved one by one
+def test_pairwise_table_fills_each_segment_pair_once():
+    # the segment twin of the test above: segment pairs close from their
+    # starting bracket, and none takes a bisection step
     rng = np.random.default_rng(3)
     curves = random_segments(rng, 6, 2)
-    filled = []
-    real = PairwiseFrechet._fill_segments
-
-    def counted(self, j, rows):
-        filled.extend((min(i, j), max(i, j)) for i in rows.tolist())
-        return real(self, j, rows)
-
-    def unexpected(a, b):
-        raise AssertionError("a segment pair went through frechet_distance")
-
-    monkeypatch.setattr(PairwiseFrechet, "_fill_segments", counted)
-    monkeypatch.setattr(clustering_module, "frechet_distance", unexpected)
     tb = PairwiseFrechet(curves)
     tb.column(4, [0, 1])
     tb.column(2, range(6))
     M = tb.values()
-    assert sorted(filled) == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert tb.stats["closed_form"] == len([(i, j) for i in range(6) for j in range(i + 1, 6)])
+    assert tb.stats["bisected"] == tb.stats["decisions"] == tb.stats["rounds"] == 0
     assert np.array_equal(M, M.T)
 
 
@@ -161,26 +143,58 @@ def test_segment_entries_match_frechet_distance_and_the_reference(n, added, d, s
                 assert lo - 1e-9 <= v <= hi + 1e-9
 
 
-def test_mixed_column_fills_segments_and_solves_the_rest(monkeypatch):
-    # segment and three-vertex rows against a segment column: both paths
-    # fill one column, and only the three-vertex rows are solved one by one
+@hyp.given(
+    lengths=hys.lists(hys.integers(2, 9), min_size=2, max_size=5),
+    added=hys.lists(hys.integers(2, 9), max_size=2),
+    d=hys.integers(1, 3),
+    seed=hys.integers(0, 2**32 - 1),
+)
+@hyp.settings(max_examples=25, deadline=None)
+def test_batched_entries_match_frechet_distance_and_the_reference(lengths, added, d, seed):
+    # curves of mixed complexity in one fill, with a near duplicate, an
+    # identical copy, zero-length edges from padding and rows that come
+    # back as columns
+    rng = np.random.default_rng(seed)
+    curves = [random_curve(rng, m, d, scale=1.0) for m in lengths]
+    first = curves[0].vertices
+    curves.append(Curve(first + rng.normal(0.0, 1e-7, first.shape)))
+    curves.append(Curve(first))
+    curves.append(pad_to_complexity(curves[1], len(curves[1]) + 2))
+    tb = PairwiseFrechet(curves)
+    cols = [tb.add(random_curve(rng, m, d, scale=1.0)) for m in added]
+    cols += [tb.add(curves[i]) for i in (0, len(curves) - 1)]
+    rows = list(range(tb.n))
+    tb.fill(cols + rows[::2], rows)
+    M = tb.values()
+    assert np.array_equal(M, M.T)
+    _assert_entries_are_frechet_distance(tb, rows + cols, rows)
+    pairs = sorted({(min(i, j), max(i, j)) for j in rows + cols for i in rows if i != j})
+    assert tb.stats["closed_form"] + tb.stats["bisected"] == len(pairs)
+    assert tb.stats["decisions"] == decide_calls(
+        [(tb.curves[a], tb.curves[b]) for a, b in pairs]
+    )
+    # the subdivided discrete distance shares no code with the solver; the
+    # value may sit half a bracket width above the true distance
+    for a, b in pairs[:: max(1, len(pairs) // 6)]:
+        lo, hi = subdivided_frechet_bounds(tb.curves[a], tb.curves[b], 0.1)
+        _, value, upper = tb.nearest([b], [a])
+        assert lo - 1e-9 <= value[0] <= hi + 1e-9 * max(1.0, upper[0])
+
+
+def test_mixed_column_fills_segments_and_solves_the_rest():
+    # segment and three-vertex rows against a segment column: one fill
+    # closes the segment pairs and bisects only the six three-vertex ones
     rng = np.random.default_rng(4)
     curves = [random_curve(rng, 2 if i % 2 else 3, 2) for i in range(6)]
-    lengths = []
-    real = clustering_module.frechet_distance
-
-    def counted(a, b):
-        lengths.append(sorted((len(a), len(b))))
-        return real(a, b)
-
-    monkeypatch.setattr(clustering_module, "frechet_distance", counted)
     tb = PairwiseFrechet(curves)
     added = tb.add(random_curve(rng, 2, 2))
     rows = list(range(6))
     tb.column(added, rows)
     tb.column(3, rows)
-    assert lengths == [[2, 3]] * 6
-    monkeypatch.setattr(clustering_module, "frechet_distance", real)
+    # six three-vertex pairs and 3 + 2 segment pairs, each solved once
+    assert tb.stats["closed_form"] + tb.stats["bisected"] == 6 + 3 + 2
+    three = [(tb.curves[min(i, j)], tb.curves[max(i, j)]) for j in (added, 3) for i in (0, 2, 4)]
+    assert tb.stats["decisions"] == decide_calls(three) > 0
     _assert_entries_are_frechet_distance(tb, [added, 3, 1, 0], rows)
     M = tb.values()
     assert np.array_equal(M, M.T)

@@ -7,6 +7,8 @@ import pytest
 
 from curveclust import Curve, Motion, pad_to_complexity
 from curveclust.frechet import (
+    DEFAULT_REL_TOL,
+    _frechet_batch,
     discrete_frechet,
     frechet_decision,
     frechet_distance,
@@ -14,7 +16,7 @@ from curveclust.frechet import (
 )
 from curveclust.oracle import exhaustive_simplify_value, subdivided_frechet_bounds
 
-from util import random_curve
+from util import decide_calls, random_curve
 
 
 def seg(a, b):
@@ -65,8 +67,10 @@ def test_decision_boundary_cases():
     assert frechet_decision(a, b, 1.0)
     assert not frechet_decision(a, b, 0.999999)
     assert frechet_decision(a, a, 0.0)
-    with pytest.raises(ValueError):
-        frechet_decision(a, b, -0.5)
+    assert frechet_decision(a, b, math.inf)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            frechet_decision(a, b, bad)
 
 
 def test_decision_needs_backtracking_free_space():
@@ -143,8 +147,9 @@ def test_tighter_tolerance_narrows_bracket():
     tight = frechet_distance(a, b, rel_tol=1e-12)
     assert tight.upper - tight.lower <= wide.upper - wide.lower
     assert wide.lower - 1e-12 <= tight.value <= wide.upper + 1e-12
-    with pytest.raises(ValueError):
-        frechet_distance(a, b, rel_tol=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            frechet_distance(a, b, rel_tol=bad)
 
 
 def test_simplify_short_input_unchanged():
@@ -302,3 +307,31 @@ def test_decision_is_monotone_in_delta(m, q, d, seed, lo, hi):
     dd = discrete_frechet(a, b)
     if frechet_decision(a, b, lo * dd):
         assert frechet_decision(a, b, hi * dd)
+
+
+@hyp.given(
+    m=hys.integers(2, 9),
+    q=hys.integers(2, 9),
+    d=hys.integers(1, 3),
+    count=hys.integers(1, 40),
+    rel_tol=hys.sampled_from([DEFAULT_REL_TOL, 1e-3, 1e-17]),
+    seed=hys.integers(0, 2**32 - 1),
+)
+@hyp.settings(max_examples=40, deadline=None)
+def test_lockstep_bisection_matches_frechet_distance(m, q, d, count, rel_tol, seed):
+    # frechet_distance is the per-pair reference. Shared endpoints start
+    # most brackets far wider than their lower end, where the rounding of
+    # the midpoint depends on how it is written; a tolerance below one ulp
+    # drives pairs into the exhausted-bracket exit, which the default
+    # tolerance never reaches
+    rng = np.random.default_rng(seed)
+    P = rng.normal(0.0, 1.0, (count, m, d))
+    Q = rng.normal(0.0, 1.0, (count, q, d))
+    Q[::2, [0, -1]] = P[::2, [0, -1]] + rng.normal(0.0, 0.1, (len(P[::2]), 2, d))
+    if m == q:
+        Q[1::4] = P[1::4] + rng.normal(0.0, 1e-7, P[1::4].shape)
+    value, upper, steps = _frechet_batch(P, Q, rel_tol)
+    for b in range(count):
+        r = frechet_distance(P[b], Q[b], rel_tol)
+        assert (r.value, r.upper) == (value[b], upper[b])
+    assert steps.sum() == decide_calls(zip(P, Q), rel_tol)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curveclust import Curve
-from curveclust import frechet as frechet_module
+from curveclust import oracle as oracle_module
 from curveclust.frechet import discrete_frechet, frechet_distance, simplify
 from curveclust.oracle import (
     GuardError,
@@ -209,11 +209,14 @@ def test_sandwich_solves_every_on_the_fly_candidate(monkeypatch):
     rng = np.random.default_rng(72)
     T = [random_curve(rng, 3, 2) for _ in range(5)]
     core = WeightedCoreset(list(T), np.ones(5), 0.5, {"member_indices": list(range(5))})
-    solves = []
-    real = frechet_module.discrete_frechet
-    monkeypatch.setattr(
-        frechet_module, "discrete_frechet", lambda p, q: solves.append(1) or real(p, q)
-    )
+    tables = []
+
+    class Recorded(PairwiseFrechet):
+        def __init__(self, curves):
+            super().__init__(curves)
+            tables.append(self)
+
+    monkeypatch.setattr(oracle_module, "PairwiseFrechet", Recorded)
 
     def fresh():
         for _ in range(200):
@@ -221,7 +224,9 @@ def test_sandwich_solves_every_on_the_fly_candidate(monkeypatch):
 
     rep = coreset_sandwich_check(T, core, 0.5, fresh(), "median")
     assert rep.checked == 200
-    assert len(solves) == 5 * 200
+    [table] = tables
+    solves = table.stats["closed_form"] + table.stats["bisected"]
+    assert solves == 5 * 200
 
 
 def test_sandwich_costs_every_on_the_fly_segment_candidate():

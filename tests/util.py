@@ -3,6 +3,7 @@
 import numpy as np
 
 from curveclust import Curve, CurveSet
+from curveclust.frechet import DEFAULT_REL_TOL, _FreeSpace, frechet_distance
 
 
 def random_curve(rng, m, d, scale=5.0):
@@ -38,3 +39,22 @@ def clustered_curves(rng, n, m, d, k, spread=40.0, jitter=0.3, step=0.8):
         g = i % k
         out.append(Curve(templates[g] + rng.normal(0.0, jitter, (m, d)), label=f"t{i}"))
     return CurveSet(out)
+
+
+def decide_calls(pairs, rel_tol=DEFAULT_REL_TOL) -> int:
+    """Threshold decisions ``frechet_distance`` takes over ``pairs``."""
+    calls = 0
+    real = _FreeSpace.decide
+
+    def counted(self, delta):
+        nonlocal calls
+        calls += 1
+        return real(self, delta)
+
+    _FreeSpace.decide = counted
+    try:
+        for a, b in pairs:
+            frechet_distance(a, b, rel_tol)
+    finally:
+        _FreeSpace.decide = real
+    return calls
